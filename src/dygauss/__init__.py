@@ -13,7 +13,6 @@ from .baselines import (
     mc_approx,
     sample_dirichlet,
     stream_rng,
-    transform_batch,
 )
 from .metrics import (
     MetricReport,

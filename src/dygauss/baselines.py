@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parametrization import DesignMatrix
+from .parametrization import DesignMatrix, to_theta_star
 from .posterior import CompoundSymmetryMatrix, DirichletParams, GaussianApprox
 from .simplex import logistic
 
@@ -30,7 +30,6 @@ __all__ = [
     "derive_seed",
     "sample_dirichlet",
     "mc_approx",
-    "transform_batch",
     "map_estimate",
     "laplace_approx",
     "NewtonError",
@@ -165,7 +164,7 @@ def mc_approx(
     if design is not None:
         if design.d != beta.d:
             raise ValueError("design matrix dimension does not match the posterior")
-        theta = np.linalg.solve(design.entries.astype(float), theta.T).T
+        theta = to_theta_star(theta.T, design).T
         tag = design.kind
     return SampleBatch(theta, seed, tag)
 
@@ -178,17 +177,6 @@ def _theta_draws(rng: np.random.Generator, beta: DirichletParams, n: int) -> np.
         log_g = _log_gamma_block(rng, beta.beta, stop - start)
         out[start:stop] = log_g[:, 1:] - log_g[:, :1]
     return out
-
-
-def transform_batch(batch: SampleBatch, design: DesignMatrix) -> SampleBatch:
-    """Re-express identity-parametrization draws through a design matrix
-    (each row t becomes X^{-1} t) without re-sampling."""
-    if batch.parametrization != "identity":
-        raise ValueError("only identity-parametrization batches can be transformed")
-    if design.d != batch.d:
-        raise ValueError("design matrix dimension does not match the batch")
-    transformed = np.linalg.solve(design.entries.astype(float), batch.draws.T).T
-    return SampleBatch(transformed, batch.seed, design.kind)
 
 
 def _log_posterior(theta: np.ndarray, beta: DirichletParams) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -39,14 +38,16 @@ from .posterior import (
 )
 from .selection import SelectionResult, edge_confusion, lasso_path, pcr_select
 from .simulate import SimulationConfig, run_compare
-from .tableio import InputError, load_prior, load_reference_graph, load_table
+from .tableio import InputError, load_prior, load_reference_graph, load_table, worker_count
 
 __all__ = ["main"]
 
 
-def _posterior_from(table: ContingencyTable, prior_spec: str) -> DirichletParams:
-    alpha = load_prior(prior_spec, table.schema.n_cells)
-    return DirichletParams(alpha + table.counts)
+def _posterior_from(table: ContingencyTable, prior: str | np.ndarray) -> DirichletParams:
+    """`prior` is a --prior spec or an already aggregated concentration vector."""
+    if isinstance(prior, str):
+        prior = load_prior(prior, table.schema.n_cells)
+    return DirichletParams(prior + table.counts)
 
 
 def _cmd_approx(args) -> int:
@@ -83,8 +84,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _select_one(table: ContingencyTable, prior_spec: str, args) -> tuple[SelectionResult, tuple]:
-    beta = _posterior_from(table, prior_spec)
+def _select_one(table: ContingencyTable, prior, args) -> tuple[SelectionResult, tuple]:
+    beta = _posterior_from(table, prior)
     design = corner_design(table.schema)
     gauss = transform_gaussian(optimal_gaussian(beta), design, "to_theta_star")
     path = lasso_path(
@@ -145,21 +146,11 @@ def _cmd_select(args) -> int:
         if args.reference:
             reference = load_reference_graph(args.reference, p)
         subsets = list(combinations(range(p), k))
-        workers = max(1, int(os.environ.get("DYGAUSS_THREADS") or (os.cpu_count() or 1)))
+        workers = worker_count(len(subsets))
 
         def job(keep):
-            sub = marginalize(table, keep)
             prior = _marginal_prior(args.prior, table, keep)
-            if isinstance(prior, np.ndarray):
-                beta = DirichletParams(prior + sub.counts)
-                design = corner_design(sub.schema)
-                gauss = transform_gaussian(optimal_gaussian(beta), design, "to_theta_star")
-                path = lasso_path(gauss.mean, gauss.cov, args.n_lambda, args.lambda_min_ratio)
-                result = pcr_select(path, gauss.mean, gauss.cov, args.alpha)
-                labels = design.labels
-            else:
-                result, labels = _select_one(sub, prior, args)
-            return result, labels
+            return _select_one(marginalize(table, keep), prior, args)
 
         if workers == 1:
             outputs = [job(keep) for keep in subsets]

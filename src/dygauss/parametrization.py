@@ -1,18 +1,26 @@
-"""Contingency-table schemas, the canonical cell order, design matrices for
-the identity and corner parametrizations, and table marginalization.
+"""Contingency-table schemas, the canonical cell order, the identity and
+corner parametrizations, and table marginalization.
 
 Canonical cell order is mixed-radix ascending with the LAST variable varying
 fastest, e.g. for three binary variables: 000, 001, 010, 011, 100, 101, 110,
 111. This equals C-order raveling of the count array, and all serialization
 uses it. The baseline cell (0, ..., 0) comes first; the remaining cells, in
 the same order, index both the log-ratio coordinates and the columns of the
-corner design matrix. Under this ordering the corner matrix is unit lower
-triangular, hence trivially non-singular.
+corner design matrix.
+
+The corner matrix X is the Kronecker product of per-variable factors
+I + (first column of ones), minus the baseline row and column; it is unit
+lower triangular. A design is therefore kept as (kind, schema), and only
+this module applies it: on the zero-padded cell cube, X t* is one pass per
+variable axis adding level 0 to the other levels, and X^{-1} t is the same
+pass subtracting (per-axis differences), O(d p) with no matrix. The identity
+design copies. `DesignMatrix.entries` is a dense view derived on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,48 +97,46 @@ def canonical_cell_order(schema: TableSchema) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Binary non-singular reparametrization matrix for log(p/p_0) = X t*.
+    """Non-singular 0/1 reparametrization log(p/p_0) = X t*, kept as structure.
 
     Rows and columns are both indexed by the non-baseline cells in canonical
     order; `labels` carries that indexing so consumers never rely on
-    positional conventions.
+    positional conventions. X is applied by `from_theta_star` and inverted
+    by `to_theta_star`; `entries` is a dense view for inspection only.
     """
 
-    entries: np.ndarray
     kind: str
     schema: TableSchema
-    labels: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int8)
-        d = self.schema.d
-        if entries.shape != (d, d):
-            raise ValueError(f"design matrix must be {d}x{d}, got {entries.shape}")
-        if not np.all((entries == 0) | (entries == 1)):
-            raise ValueError("design matrix entries must be 0/1")
-        # Non-singularity: both supported kinds are unit lower triangular in
-        # canonical order, which an O(d^2) check certifies exactly.
-        if np.any(np.diag(entries) != 1) or np.any(np.triu(entries, 1) != 0):
-            raise ValueError("design matrix is not unit lower triangular in canonical order")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
         if self.kind not in ("identity", "corner"):
             raise ValueError(f"unknown design matrix kind {self.kind!r}")
-        if len(self.labels) != d:
-            raise ValueError("label count must match dimension")
 
     @property
     def d(self) -> int:
         return self.schema.d
 
+    @cached_property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(canonical_cell_order(self.schema)[1:])
 
-def _nonzero_cells(schema: TableSchema) -> list[tuple[int, ...]]:
-    return canonical_cell_order(schema)[1:]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only dense int8 X, built on first access from the Kronecker
+        factors (identity factors for the identity design)."""
+        full = np.ones((1, 1), dtype=np.int8)
+        for n in self.schema.levels:
+            factor = np.eye(n, dtype=np.int8)
+            if self.kind == "corner":
+                factor[:, 0] = 1
+            full = np.kron(full, factor)
+        entries = np.ascontiguousarray(full[1:, 1:])
+        entries.flags.writeable = False
+        return entries
 
 
 def identity_design(schema: TableSchema) -> DesignMatrix:
-    cells = _nonzero_cells(schema)
-    return DesignMatrix(np.eye(schema.d, dtype=np.int8), "identity", schema, tuple(cells))
+    return DesignMatrix("identity", schema)
 
 
 def corner_design(schema: TableSchema) -> DesignMatrix:
@@ -141,42 +147,52 @@ def corner_design(schema: TableSchema) -> DesignMatrix:
     row sums the main effects and interactions of every nonempty subset of
     i's active variables.
     """
-    cells = _nonzero_cells(schema)
-    index = {cell: k for k, cell in enumerate(cells)}
-    d = schema.d
-    entries = np.zeros((d, d), dtype=np.int8)
-    for row, cell in enumerate(cells):
-        active = [v for v, level in enumerate(cell) if level != 0]
-        for mask in range(1, 1 << len(active)):
-            sub = list(cell)
-            for bit, v in enumerate(active):
-                if not (mask >> bit) & 1:
-                    sub[v] = 0
-            entries[row, index[tuple(sub)]] = 1
-    return DesignMatrix(entries, "corner", schema, tuple(cells))
+    return DesignMatrix("corner", schema)
 
 
-def _as_vector(theta, d: int) -> np.ndarray:
+def _coordinates(theta, d: int) -> np.ndarray:
     from .simplex import NaturalParam
 
     if isinstance(theta, NaturalParam):
         theta = theta.theta
     arr = np.asarray(theta, dtype=float)
-    if arr.shape != (d,):
-        raise ValueError(f"expected a length-{d} vector, got shape {arr.shape}")
+    if arr.ndim < 1 or arr.shape[0] != d:
+        raise ValueError(f"expected {d} coordinates along axis 0, got shape {arr.shape}")
     return arr
 
 
+def _apply(theta, design: DesignMatrix, op) -> np.ndarray:
+    """Copy for the identity design; for the corner design, one in-place
+    pass per variable axis over the zero-padded cell cube, combining levels
+    1.. of the axis with level 0 by `op` (np.add applies X, np.subtract
+    X^{-1})."""
+    coords = _coordinates(theta, design.d)
+    if design.kind == "identity":
+        return coords.copy()
+    schema = design.schema
+    rest = coords.shape[1:]
+    cube = np.zeros((schema.n_cells,) + rest)
+    cube[1:] = coords
+    view = cube.reshape(schema.levels + rest)
+    for axis in range(schema.p):
+        lead = (slice(None),) * axis
+        upper = view[lead + (slice(1, None),)]
+        op(upper, view[lead + (slice(0, 1),)], out=upper)
+    return cube[1:]
+
+
 def to_theta_star(theta, design: DesignMatrix) -> np.ndarray:
-    """Solve X t* = t for t*. Uses a triangular-friendly factored solve."""
-    t = _as_vector(theta, design.d)
-    return np.linalg.solve(design.entries.astype(float), t)
+    """Solve X t* = t for t*, column by column for a (d, ...) array.
+
+    For the corner design this is the Moebius transform: per-axis
+    differences against level 0, O(d p) with no matrix.
+    """
+    return _apply(theta, design, np.subtract)
 
 
 def from_theta_star(theta_star, design: DesignMatrix) -> np.ndarray:
-    """Evaluate t = X t*."""
-    ts = _as_vector(theta_star, design.d)
-    return design.entries.astype(float) @ ts
+    """Evaluate t = X t*, column by column for a (d, ...) array."""
+    return _apply(theta_star, design, np.add)
 
 
 def marginalize(table: ContingencyTable, keep) -> ContingencyTable:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .parametrization import DesignMatrix
+from .parametrization import DesignMatrix, from_theta_star, to_theta_star
 from .specfun import digamma, log_gamma, trigamma
 
 __all__ = [
@@ -232,36 +232,26 @@ def optimal_gaussian(beta: DirichletParams) -> GaussianApprox:
     return GaussianApprox(mean, cov, "identity")
 
 
-def transform_gaussian(g: GaussianApprox, design, direction: str = "to_theta_star") -> GaussianApprox:
-    """Push a Gaussian through the design-matrix change of coordinates.
+def transform_gaussian(
+    g: GaussianApprox, design: DesignMatrix, direction: str = "to_theta_star"
+) -> GaussianApprox:
+    """Push a Gaussian through the design's change of coordinates.
 
     "to_theta_star" maps t -> X^{-1} t (mean X^{-1} m, covariance
     X^{-1} S X^{-T}); "to_theta" maps t* -> X t* (mean X m, covariance
-    X S X^T). The result covariance is dense either way. `design` may be a
-    DesignMatrix or any non-singular square matrix.
+    X S X^T). Both apply `to_theta_star`/`from_theta_star` to the mean and
+    to each axis of the covariance, which comes back dense either way.
     """
-    if isinstance(design, DesignMatrix):
-        x = design.entries.astype(float)
-        star_tag = design.kind
-    else:
-        x = np.asarray(design, dtype=float)
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ValueError("transform matrix must be square")
-        star_tag = "custom"
-    if x.shape[0] != g.d:
-        raise ValueError(f"transform matrix is {x.shape[0]}-dimensional, Gaussian is {g.d}")
-    cov = g.cov_dense()
+    if design.d != g.d:
+        raise ValueError(f"design is {design.d}-dimensional, Gaussian is {g.d}")
     if direction == "to_theta_star":
-        mean = np.linalg.solve(x, g.mean)
-        new_cov = np.linalg.solve(x, np.linalg.solve(x, cov).T)
-        tag = star_tag
+        apply, tag = to_theta_star, design.kind
     elif direction == "to_theta":
-        mean = x @ g.mean
-        new_cov = x @ cov @ x.T
-        tag = "identity"
+        apply, tag = from_theta_star, "identity"
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return GaussianApprox(mean, 0.5 * (new_cov + new_cov.T), tag)
+    new_cov = apply(apply(g.cov_dense(), design).T, design)
+    return GaussianApprox(apply(g.mean, design), 0.5 * (new_cov + new_cov.T), tag)
 
 
 def _log_dirichlet_norm(beta: DirichletParams) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,9 +32,9 @@ from .metrics import (
     ks_statistic,
     unexplained_variation,
 )
-from .parametrization import DesignMatrix, TableSchema, corner_design
+from .parametrization import DesignMatrix, TableSchema, corner_design, to_theta_star
 from .posterior import DirichletParams, GaussianApprox, optimal_gaussian, transform_gaussian
-from .tableio import InputError
+from .tableio import InputError, worker_count
 
 __all__ = [
     "SimulationConfig",
@@ -222,12 +221,11 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
             g_par, lap_par = gauss, lap
             mc_draws = {mc: batch.draws for mc, (_, batch) in mc_results.items()}
         else:
-            x = cond.design.entries.astype(float)
-            truth = np.linalg.solve(x, theta0)
+            truth = to_theta_star(theta0, cond.design)
             g_par = transform_gaussian(gauss, cond.design, "to_theta_star")
             lap_par = transform_gaussian(lap, cond.design, "to_theta_star")
             mc_draws = {
-                mc: np.linalg.solve(x, batch.draws.T).T
+                mc: to_theta_star(batch.draws.T, cond.design).T
                 for mc, (_, batch) in mc_results.items()
             }
         sigma_ref = g_par.cov_dense()
@@ -263,12 +261,11 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
 
 def run_compare(config: SimulationConfig, out_dir=None) -> list[MetricReport]:
     """Run the full study and write per-prior metric and timing CSVs."""
+    workers = worker_count(config.replicates)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     needs_corner = "corner" in config.parametrizations
     design = corner_design(config.schema) if needs_corner else None
-    workers = int(os.environ.get("DYGAUSS_THREADS") or (os.cpu_count() or 1))
-    workers = max(1, workers)
 
     all_rows: list[MetricReport] = []
     for a_idx, a in enumerate(config.prior_a):
@@ -276,7 +273,7 @@ def run_compare(config: SimulationConfig, out_dir=None) -> list[MetricReport]:
         for n_idx, n in enumerate(config.sample_sizes):
             cond_seed = derive_seed(config.seed, a_idx, n_idx)
             cond = _Condition(a, n, cond_seed, config, design)
-            if workers == 1 or config.replicates == 1:
+            if workers == 1:
                 results = [_replicate_rows(cond, r) for r in range(config.replicates)]
             else:
                 with ThreadPoolExecutor(max_workers=workers) as pool:

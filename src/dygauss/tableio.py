@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "save_table_json",
     "load_prior",
     "load_reference_graph",
+    "worker_count",
     "save_batch",
     "load_batch",
 ]
@@ -159,6 +161,18 @@ def load_reference_graph(path, n_vars: int) -> set[tuple[int, int]]:
             raise InputError(f"{path}:{lineno}: edge ({u}, {v}) out of range for {n_vars} variables")
         edges.add((min(u, v), max(u, v)))
     return edges
+
+
+def worker_count(jobs: int) -> int:
+    """Pool size for `jobs` independent jobs: DYGAUSS_THREADS (default: the
+    core count), capped at the core count and at `jobs`."""
+    cores = os.cpu_count() or 1
+    raw = os.environ.get("DYGAUSS_THREADS", "").strip()
+    if not raw:
+        return max(1, min(cores, jobs))
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InputError(f"DYGAUSS_THREADS must be a positive integer, got {raw!r}")
+    return max(1, min(int(raw), cores, jobs))
 
 
 def save_batch(batch: SampleBatch, path, beta=None) -> None:

@@ -144,6 +144,13 @@ class TestSelectCommand:
             == 2
         )
 
+    def test_invalid_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
+        table = write_json_table(tmp_path / "t.json", [2, 2, 2], [5, 1, 2, 3, 4, 5, 6, 7])
+        monkeypatch.setenv("DYGAUSS_THREADS", "abc")
+        argv = ["select", "--table", table, "--prior", "1", "--alpha", "0.1", "--marginals", "2"]
+        assert main(argv) == 2
+        assert "DYGAUSS_THREADS" in capsys.readouterr().err
+
 
 class TestStrongDependenceWorkflow:
     def test_planted_pair_recovered_on_marginals(self, tmp_path, capsys):

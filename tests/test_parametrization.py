@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,22 @@ THREE_WAY_MATRIX = np.array(
 def schemas(max_cells=256):
     return st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(
         lambda ls: int(np.prod(ls)) <= max_cells
+    )
+
+
+def _leading_within(levels, max_cells):
+    """Longest prefix of `levels` whose cell count stays within max_cells."""
+    kept = []
+    for n in levels:
+        if int(np.prod(kept + [n])) > max_cells:
+            break
+        kept.append(n)
+    return kept
+
+
+def mixed_schemas(max_cells=512):
+    return st.lists(st.integers(2, 5), min_size=1, max_size=9).map(
+        lambda ls: _leading_within(ls, max_cells)
     )
 
 
@@ -93,11 +111,15 @@ class TestCornerDesign:
             assert np.all(np.diag(design.entries) == 1)
             assert np.all(np.triu(design.entries, 1) == 0)
 
-    def test_tampered_matrix_rejected(self):
-        schema = TableSchema((2, 2))
-        bad = np.array([[1, 0, 0], [0, 0, 0], [1, 1, 1]], dtype=np.int8)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown design matrix kind"):
+            DesignMatrix("banded", TableSchema((2, 2)))
+
+    def test_entries_are_read_only(self):
+        entries = corner_design(TableSchema((2, 3))).entries
+        assert entries.dtype == np.int8
         with pytest.raises(ValueError):
-            DesignMatrix(bad, "corner", schema, corner_design(schema).labels)
+            entries[0, 0] = 0
 
 
 class TestThetaStarConversion:
@@ -126,6 +148,34 @@ class TestThetaStarConversion:
         design = corner_design(TableSchema((2, 2)))
         with pytest.raises(ValueError):
             to_theta_star(np.zeros(5), design)
+        with pytest.raises(ValueError):
+            from_theta_star(np.zeros((5, 3)), design)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_schemas(), st.sampled_from(["identity", "corner"]), st.integers(0, 2**32 - 1))
+    def test_matches_dense_operator(self, levels, kind, seed):
+        design = DesignMatrix(kind, TableSchema(tuple(levels)))
+        x = design.entries.astype(float)
+        rng = np.random.default_rng(seed)
+        for shape in [(design.d,), (design.d, 3)]:
+            t = rng.normal(size=shape) * 3.0
+            star = to_theta_star(t, design)
+            np.testing.assert_allclose(star, np.linalg.solve(x, t), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(from_theta_star(t, design), x @ t, rtol=0, atol=1e-12)
+
+    def test_identity_transform_builds_no_matrix(self):
+        """A dense 2^14 design would take 268 MB as int8; the operator needs
+        only the padded coordinate vector."""
+        theta = np.linspace(-1.0, 1.0, 2**14 - 1)
+        tracemalloc.start()
+        try:
+            design = identity_design(TableSchema((2,) * 14))
+            star = to_theta_star(theta, design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(star, theta)
+        assert peak < 16 * 2**20
 
 
 class TestMarginalize:

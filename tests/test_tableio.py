@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dygauss.tableio import (
     save_batch,
     save_table_csv,
     save_table_json,
+    worker_count,
 )
 
 
@@ -139,3 +142,24 @@ class TestBatchPersistence:
         batch = SampleBatch(np.zeros((1, 1)), seed=0)
         with pytest.raises(InputError):
             save_batch(batch, tmp_path / "draws.parquet")
+
+
+class TestWorkerCount:
+    def test_unset_uses_cores_capped_by_jobs(self, monkeypatch):
+        monkeypatch.delenv("DYGAUSS_THREADS", raising=False)
+        assert worker_count(1000) == (os.cpu_count() or 1)
+        assert worker_count(1) == 1
+
+    def test_huge_value_capped_without_starting_threads(self, monkeypatch):
+        monkeypatch.setenv("DYGAUSS_THREADS", "1000000")
+        assert worker_count(5) == min(os.cpu_count() or 1, 5)
+
+    def test_explicit_value(self, monkeypatch):
+        monkeypatch.setenv("DYGAUSS_THREADS", "1")
+        assert worker_count(8) == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "x", "2.5"])
+    def test_invalid_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("DYGAUSS_THREADS", raw)
+        with pytest.raises(InputError, match="DYGAUSS_THREADS"):
+            worker_count(4)
