@@ -52,6 +52,7 @@ from .posterior import (
 )
 from .selection import (
     ConfusionCounts,
+    LassoConvergenceError,
     LassoPath,
     SelectionResult,
     edge_confusion,
@@ -65,13 +66,13 @@ from .simplex import (
     dirichlet_logpdf,
     jacobian_logdet_inv,
     ld_logpdf,
+    log_dirichlet_norm,
     log_ratio,
     logistic,
     logistic_normal_logpdf,
 )
 from .simulate import SimulationConfig, aggregate_means, multinomial_sample, run_compare
 from .specfun import (
-    ToleranceConfig,
     chi2_cdf,
     chi2_quantile,
     digamma,

@@ -36,7 +36,13 @@ from .posterior import (
     optimal_gaussian,
     transform_gaussian,
 )
-from .selection import SelectionResult, edge_confusion, lasso_path, pcr_select
+from .selection import (
+    LassoConvergenceError,
+    SelectionResult,
+    edge_confusion,
+    lasso_path,
+    pcr_select,
+)
 from .simulate import SimulationConfig, run_compare
 from .tableio import InputError, load_prior, load_reference_graph, load_table, worker_count
 
@@ -230,7 +236,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonError, np.linalg.LinAlgError) as exc:
+    except (NewtonError, LassoConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import normal_quantile
+from .specfun import normal_cdf, normal_quantile
 
 __all__ = [
     "MetricReport",
@@ -131,16 +131,8 @@ def ks_statistic(samples, mu: float, sigma: float) -> float:
     if x.ndim != 1 or x.size < 1:
         raise ValueError("need at least one sample")
     n = x.size
-    z = (x - mu) / sigma
-    # Vectorized Phi via erf keeps this O(n log n) end to end.
-    cdf = 0.5 * (1.0 + _erf_vec(z / np.sqrt(2.0)))
+    cdf = normal_cdf((x - mu) / sigma)
     i = np.arange(1, n + 1)
     upper = i / n - cdf
     lower = cdf - (i - 1) / n
     return float(np.maximum(upper, lower).max())
-
-
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    import math
-
-    return np.vectorize(math.erf, otypes=[float])(x)

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .parametrization import DesignMatrix, from_theta_star, to_theta_star
-from .specfun import digamma, log_gamma, trigamma
+from .simplex import log_dirichlet_norm
+from .specfun import digamma, trigamma
 
 __all__ = [
     "DirichletParams",
@@ -219,11 +220,9 @@ def dy_update(alpha: DirichletParams, y) -> DirichletParams:
 
 def ld_moments(beta: DirichletParams) -> tuple[np.ndarray, CompoundSymmetryMatrix]:
     """Exact mean and covariance of the log-ratio coordinates under beta."""
-    b = beta.beta
-    psi0 = digamma(b[0])
-    mean = np.array([digamma(bj) - psi0 for bj in b[1:]])
-    diag = np.array([trigamma(bj) for bj in b[1:]])
-    return mean, CompoundSymmetryMatrix(diag, trigamma(b[0]))
+    psi = digamma(beta.beta)
+    tri = trigamma(beta.beta)
+    return psi[1:] - psi[0], CompoundSymmetryMatrix(tri[1:], tri[0])
 
 
 def optimal_gaussian(beta: DirichletParams) -> GaussianApprox:
@@ -254,9 +253,11 @@ def transform_gaussian(
     return GaussianApprox(apply(g.mean, design), 0.5 * (new_cov + new_cov.T), tag)
 
 
-def _log_dirichlet_norm(beta: DirichletParams) -> float:
+def _neg_entropy(beta: DirichletParams, psi: np.ndarray) -> float:
+    """E log p(t) under the log-ratio law, given psi = digamma(beta):
+    log-normalizer + sum_j b_j (psi(b_j) - psi(B))."""
     b = beta.beta
-    return log_gamma(beta.total) - sum(log_gamma(bj) for bj in b)
+    return log_dirichlet_norm(b) + float((b * (psi - digamma(beta.total))).sum())
 
 
 def exact_min_kl(beta: DirichletParams) -> float:
@@ -265,12 +266,10 @@ def exact_min_kl(beta: DirichletParams) -> float:
     Equals log-normalizer + sum_j b_j (psi(b_j) - psi(B)) + (d/2)(1 + log 2pi)
     + (1/2) log det Sigma*, evaluated without densifying Sigma*.
     """
-    b = beta.beta
-    d = beta.d
-    psi_total = digamma(beta.total)
-    cross = float(sum(bj * (digamma(bj) - psi_total) for bj in b))
-    _, cov = ld_moments(beta)
-    return _log_dirichlet_norm(beta) + cross + 0.5 * d * (1.0 + _LOG_2PI) + 0.5 * cs_logdet(cov)
+    psi = digamma(beta.beta)
+    tri = trigamma(beta.beta)
+    logdet = cs_logdet(CompoundSymmetryMatrix(tri[1:], tri[0]))
+    return _neg_entropy(beta, psi) + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet
 
 
 def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
@@ -304,12 +303,8 @@ def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
     trace = float(np.trace(np.linalg.solve(chol, half.T)))
     resid = np.linalg.solve(chol, mean_star - mu)
     quad = float(resid @ resid)
-
-    psi_total = digamma(beta.total)
-    cross = float(sum(bj * (digamma(bj) - psi_total) for bj in beta.beta))
     return (
-        _log_dirichlet_norm(beta)
-        + cross
+        _neg_entropy(beta, digamma(beta.beta))
         + 0.5 * d * _LOG_2PI
         + 0.5 * logdet
         + 0.5 * (trace + quad)

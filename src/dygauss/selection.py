@@ -25,6 +25,7 @@ from .posterior import CompoundSymmetryMatrix, cs_mahalanobis
 from .specfun import chi2_quantile
 
 __all__ = [
+    "LassoConvergenceError",
     "LassoPath",
     "SelectionResult",
     "ConfusionCounts",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 SUPPORT_EPS = 1e-10  # coordinate descent yields exact zeros; this absorbs roundoff
+MAX_SWEEPS = 10_000  # coordinate-descent sweeps allowed per path point
+
+
+class LassoConvergenceError(RuntimeError):
+    """A lasso path point was not certified within MAX_SWEEPS sweeps."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,6 @@ def lasso_path(
     sigma,
     n_lambda: int = 100,
     lambda_min_ratio: float = 1e-3,
-    max_sweeps: int = 10_000,
 ) -> LassoPath:
     """Coordinate-descent lasso path for the credible-region objective.
 
@@ -134,7 +139,8 @@ def lasso_path(
     (the smallest penalty whose solution is exactly zero) down to
     lambda_max * lambda_min_ratio, warm-starting each point at the previous
     solution. Iteration stops when the KKT residual is driven well below
-    the certificate tolerance used in the tests.
+    the certificate tolerance used in the tests; a point that is not
+    certified within MAX_SWEEPS sweeps raises LassoConvergenceError.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     d = theta_hat.size
@@ -161,7 +167,7 @@ def lasso_path(
     resid = z.copy()
     for i, lam in enumerate(lambdas):
         half = 0.5 * lam
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             delta_max = 0.0
             for j in range(d):
                 old = theta[j]
@@ -174,6 +180,10 @@ def lasso_path(
             if delta_max <= 1e-14 * max(1.0, float(np.abs(theta).max())):
                 if _kkt_residual(a, resid, theta, lam) <= kkt_tol:
                     break
+        else:
+            raise LassoConvergenceError(
+                f"lasso path point {i} (lambda={lam:.6g}) not certified after {MAX_SWEEPS} sweeps"
+            )
         coefs[i] = theta
     supports = tuple(_support_of(c) for c in coefs)
     return LassoPath(lambdas, coefs, supports)
@@ -189,13 +199,12 @@ def _soft_threshold(x: float, threshold: float) -> float:
 
 def _kkt_residual(a: np.ndarray, resid: np.ndarray, theta: np.ndarray, lam: float) -> float:
     grad = -2.0 * (a.T @ resid)  # 2 Sigma^{-1} (theta - theta_hat)
-    worst = 0.0
-    for j in range(theta.size):
-        if abs(theta[j]) > SUPPORT_EPS:
-            worst = max(worst, abs(grad[j] + lam * np.sign(theta[j])))
-        else:
-            worst = max(worst, max(0.0, abs(grad[j]) - lam))
-    return worst
+    violation = np.where(
+        np.abs(theta) > SUPPORT_EPS,
+        np.abs(grad + lam * np.sign(theta)),
+        np.maximum(np.abs(grad) - lam, 0.0),
+    )
+    return float(violation.max(initial=0.0))
 
 
 def mahalanobis_delta(theta0, theta_hat, sigma) -> float:

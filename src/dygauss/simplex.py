@@ -26,6 +26,7 @@ __all__ = [
     "logistic",
     "log_ratio",
     "jacobian_logdet_inv",
+    "log_dirichlet_norm",
     "dirichlet_logpdf",
     "ld_logpdf",
     "logistic_normal_logpdf",
@@ -141,6 +142,12 @@ def jacobian_logdet_inv(theta) -> float:
     return float(t.sum()) - (t.size + 1) * _log_norm(t)
 
 
+def log_dirichlet_norm(beta: np.ndarray) -> float:
+    """log Gamma(B) - sum_j log Gamma(b_j) with B = sum_j b_j: the log of the
+    Dirichlet(beta) normalizing constant."""
+    return log_gamma(beta.sum()) - float(log_gamma(beta).sum())
+
+
 def dirichlet_logpdf(pi, beta) -> float:
     """Log density of the Dirichlet law with concentration beta = (b_0, ..., b_d)."""
     p = _as_simplex(pi)
@@ -149,7 +156,7 @@ def dirichlet_logpdf(pi, beta) -> float:
         raise ValueError(f"concentration must have length d + 1 = {p.d + 1}, got {b.size}")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise ValueError("concentration entries must be positive and finite")
-    log_norm = log_gamma(float(b.sum())) - sum(log_gamma(bj) for bj in b)
+    log_norm = log_dirichlet_norm(b)
     log_p = np.concatenate([[np.log(p.p0)], np.log(p.probs)])
     return log_norm + float(((b - 1.0) * log_p).sum())
 
@@ -167,9 +174,7 @@ def ld_logpdf(theta, beta) -> float:
         raise ValueError(f"concentration must have length d + 1 = {t.size + 1}, got {b.size}")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise ValueError("concentration entries must be positive and finite")
-    total = float(b.sum())
-    log_norm = log_gamma(total) - sum(log_gamma(bj) for bj in b)
-    return log_norm + float((b[1:] * t).sum()) - total * _log_norm(t)
+    return log_dirichlet_norm(b) + float((b[1:] * t).sum()) - float(b.sum()) * _log_norm(t)
 
 
 def logistic_normal_logpdf(pi, mu, sigma) -> float:

@@ -21,7 +21,7 @@ from dygauss.posterior import (
     transform_gaussian,
 )
 from dygauss.simplex import ld_logpdf
-from dygauss.specfun import digamma, trigamma
+from dygauss.specfun import digamma, log_gamma, trigamma
 
 from oracles import gauss_legendre, trigamma_bracket
 
@@ -175,7 +175,55 @@ class TestCompoundSymmetryOps:
             CompoundSymmetryMatrix(np.array([1.0]), 0.0)
 
 
+class TestSpecialFunctionCalls:
+    """ld_moments and exact_min_kl evaluate the special functions on the whole
+    concentration vector: the call count does not grow with d."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        import dygauss.posterior as posterior
+        import dygauss.simplex as simplex
+
+        calls = []
+        targets = ((posterior, "digamma"), (posterior, "trigamma"), (simplex, "log_gamma"))
+        for module, name in targets:
+            fn = getattr(module, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("fn, most", [(ld_moments, 2), (exact_min_kl, 5)])
+    def test_constant_in_d(self, monkeypatch, fn, most):
+        calls = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(41)
+        counts = []
+        for d in (15, 4095):
+            calls.clear()
+            fn(DirichletParams(rng.uniform(0.01, 1e6, d + 1)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= most
+
+
 class TestExactMinKl:
+    def test_matches_per_element_sum(self):
+        """Against the sum of scalar calls in sequence: only the summation order
+        differs, so the two agree within the recursive-summation bound."""
+        b = np.random.default_rng(43).uniform(0.01, 1e6, 4096)
+        beta = DirichletParams(b)
+        total = float(b.sum())
+        log_norm = log_gamma(total) - sum(log_gamma(bj) for bj in b)
+        cross = sum(bj * (digamma(bj) - digamma(total)) for bj in b)
+        logdet = cs_logdet(ld_moments(beta)[1])
+        expected = log_norm + cross + 0.5 * beta.d * (1.0 + math.log(2.0 * math.pi)) + 0.5 * logdet
+        scale = abs(log_gamma(total)) + sum(
+            abs(log_gamma(bj)) + bj * abs(digamma(bj) - digamma(total)) for bj in b
+        )
+        assert abs(exact_min_kl(beta) - expected) <= b.size * np.finfo(float).eps * scale
+
     def test_consistent_with_closed_form(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

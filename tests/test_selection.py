@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dygauss import selection
+from dygauss.cli import main
 from dygauss.posterior import CompoundSymmetryMatrix
 from dygauss.selection import (
     ConfusionCounts,
+    LassoConvergenceError,
     LassoPath,
     edge_confusion,
     lasso_path,
@@ -70,6 +73,17 @@ class TestLassoPath:
         assert len(path.supports[0]) == 0
         assert len(path.supports[-1]) >= len(path.supports[0])
 
+    def test_kkt_residual_matches_loop(self):
+        rng = np.random.default_rng(9)
+        a, resid, lam = rng.normal(size=(12, 12)), rng.normal(size=12), 0.7
+        theta = np.where(rng.random(12) < 0.5, 0.0, rng.normal(size=12))
+        grad = -2.0 * (a.T @ resid)
+        expected = max(
+            abs(g + lam * np.sign(t)) if abs(t) > 1e-10 else max(0.0, abs(g) - lam)
+            for g, t in zip(grad, theta)
+        )
+        assert selection._kkt_residual(a, resid, theta, lam) == expected
+
     def test_zero_estimate_short_circuit(self):
         path = lasso_path(np.zeros(4), np.eye(4))
         assert path.n_points == 1
@@ -84,6 +98,28 @@ class TestLassoPath:
             LassoPath(np.array([1.0, 2.0]), np.zeros((2, 3)), ((), ()))  # increasing
         with pytest.raises(ValueError):
             LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), ((0, 1, 2), (0, 1, 2)))
+
+
+class TestSweepLimit:
+    """A path point that coordinate descent does not certify within MAX_SWEEPS
+    raises instead of being returned."""
+
+    def test_lasso_path_raises(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        sigma = (q * np.logspace(-4, 0, 8)) @ q.T  # condition number 1e4
+        theta = rng.normal(size=8)
+        assert lasso_path(theta, sigma, n_lambda=10).n_points == 10
+        monkeypatch.setattr(selection, "MAX_SWEEPS", 1)
+        with pytest.raises(LassoConvergenceError, match="not certified"):
+            lasso_path(theta, sigma, n_lambda=10)
+
+    def test_select_exits_3(self, tmp_path, monkeypatch, capsys):
+        table = tmp_path / "t.json"
+        table.write_text('{"levels": [2, 2, 2], "counts": [90, 3, 4, 1, 2, 5, 1, 40]}')
+        monkeypatch.setattr(selection, "MAX_SWEEPS", 1)
+        assert main(["select", "--table", str(table), "--prior", "1", "--alpha", "0.1"]) == 3
+        assert "not certified" in capsys.readouterr().err
 
 
 class TestMahalanobisDelta:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from dygauss.specfun import (
-    ToleranceConfig,
     chi2_cdf,
     chi2_quantile,
     digamma,
@@ -189,13 +189,64 @@ class TestRegLowerGamma:
         assert reg_lower_gamma(3.0, 1e4) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestToleranceConfig:
-    def test_defaults(self):
-        cfg = ToleranceConfig()
-        assert cfg.abs_tol == 1e-12 and cfg.max_iter == 200
+class TestArrayNative:
+    """log_gamma, digamma, trigamma and normal_cdf on arrays, with the scalar as the 0-d case."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(max_iter=0)
+    GAMMA_FAMILY = (log_gamma, digamma, trigamma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-6, 1e15), min_size=0, max_size=40))
+    def test_array_equals_elementwise_scalar_calls(self, values):
+        z = np.array([1e-6, *values, 1e15])
+        for f in self.GAMMA_FAMILY:
+            out = f(z)
+            assert isinstance(out, np.ndarray) and out.shape == z.shape
+            np.testing.assert_array_equal(out, [f(v) for v in z])
+            np.testing.assert_array_equal(f(z.reshape(1, -1))[0], out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
+    def test_normal_cdf_array_equals_elementwise(self, values):
+        x = np.array(values)
+        np.testing.assert_array_equal(normal_cdf(x), [normal_cdf(v) for v in x])
+
+    def test_scalar_returns_float(self):
+        for f in (*self.GAMMA_FAMILY, normal_cdf):
+            for z in (2.5, np.float64(2.5), np.array(2.5), 3):
+                assert type(f(z)) is float
+
+    def test_against_scipy(self):
+        rng = np.random.default_rng(14)
+        z = np.concatenate(
+            [
+                np.exp(rng.uniform(math.log(1e-6), math.log(1e15), 20_000)),
+                np.linspace(0.5, 3.0, 2_001),
+                [1e-6, 0.5, 1.0, 2.0, 10.0, 1e15],
+            ]
+        )
+        # lnGamma vanishes at 1 and 2 and psi at 1.4616...: there the shift sum
+        # leaves an absolute error of ~1e-14 that no relative bound can hold.
+        near_zeros = (z >= 0.5) & (z <= 3.0)
+        cases = (
+            (log_gamma, special.gammaln(z), 2e-14),
+            (digamma, special.digamma(z), 1e-14),
+            (trigamma, special.polygamma(1, z), 0.0),
+        )
+        for f, expected, atol in cases:
+            err = np.abs(f(z) - expected)
+            bound = 1e-13 * np.abs(expected) + np.where(near_zeros, atol, 0.0)
+            worst = int(np.argmax(err / bound))
+            assert err[worst] <= bound[worst], (f.__name__, z[worst], err[worst])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_single_bad_entry_raises(self, bad):
+        z = np.array([0.5, 3.0, 1e15, 2.0, 7.0])
+        z[2] = bad
+        for f in self.GAMMA_FAMILY:
+            with pytest.raises(ValueError):
+                f(z)
+        if math.isfinite(bad):
+            normal_cdf(z)
+        else:
+            with pytest.raises(ValueError):
+                normal_cdf(z)
