@@ -11,7 +11,6 @@ from .baselines import (
     laplace_approx,
     map_estimate,
     mc_approx,
-    sample_dirichlet,
     stream_rng,
 )
 from .metrics import (
@@ -61,7 +60,6 @@ from .selection import (
     pcr_select,
 )
 from .simplex import (
-    NaturalParam,
     SimplexPoint,
     dirichlet_logpdf,
     jacobian_logdet_inv,
@@ -69,7 +67,6 @@ from .simplex import (
     log_dirichlet_norm,
     log_ratio,
     logistic,
-    logistic_normal_logpdf,
 )
 from .simulate import SimulationConfig, aggregate_means, multinomial_sample, run_compare
 from .specfun import (

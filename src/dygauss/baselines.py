@@ -1,5 +1,5 @@
 """Comparison approximations to the conjugate posterior: Monte Carlo
-(Dirichlet sampling pushed through the log-ratio map) and Laplace
+(Dirichlet draws formed directly in log-ratio coordinates) and Laplace
 (Newton-Raphson MAP plus inverse curvature).
 
 RNG policy: all randomness flows through numpy's PCG64 generator. Streams
@@ -11,6 +11,8 @@ Gamma(a) == Gamma(a + 1) * U^{1/a}, applied uniformly and kept in log scale.
 This sidesteps the underflow that plain gamma sampling hits for shapes like
 1/d on sparse tables, where a draw's linear-scale value can be below the
 smallest normal double while its log ratio to other coordinates is benign.
+`_log_gamma_block` is the one such sampler; the simulation study draws its
+true probability vectors with it too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "SampleBatch",
     "stream_rng",
     "derive_seed",
-    "sample_dirichlet",
     "mc_approx",
     "map_estimate",
     "laplace_approx",
@@ -90,55 +91,11 @@ _BLOCK_BUDGET = 12_000_000
 
 
 def _log_gamma_block(rng: np.random.Generator, shapes: np.ndarray, n: int) -> np.ndarray:
+    """(n x len(shapes)) matrix of log Gamma(shape) variates, scale 1."""
     boosted = rng.gamma(shapes + 1.0, size=(n, shapes.size))
     # 1 - U avoids log(0); U in [0, 1) so 1 - U in (0, 1].
     u = 1.0 - rng.random(size=(n, shapes.size))
     return np.log(boosted) + np.log(u) / shapes
-
-
-def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, n: int) -> np.ndarray:
-    """(n x len(shapes)) matrix of log Gamma(shape) variates, scale 1.
-
-    Drawn in row blocks so peak transient memory stays bounded for large n.
-    """
-    block = max(1, _BLOCK_BUDGET // shapes.size)
-    if n <= block:
-        return _log_gamma_block(rng, shapes, n)
-    out = np.empty((n, shapes.size))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        out[start:stop] = _log_gamma_block(rng, shapes, stop - start)
-    return out
-
-
-def sample_dirichlet(beta: DirichletParams, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from Dirichlet(beta), as an (n x (d+1)) matrix of full
-    probability vectors in concentration order (baseline coordinate first).
-
-    Rows where normalization underflows any coordinate to zero are redrawn;
-    a cap guards against concentrations too extreme for simplex coordinates
-    to be representable at all.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    rng = stream_rng(seed)
-    log_g = _log_gamma_draws(rng, beta.beta, n)
-    pis = _normalize_rows(log_g)
-    for _ in range(_MAX_RESAMPLE_ROUNDS):
-        bad = np.where(~np.all(pis > 0.0, axis=1))[0]
-        if bad.size == 0:
-            return pis
-        pis[bad] = _normalize_rows(_log_gamma_draws(rng, beta.beta, bad.size))
-    raise RuntimeError(
-        "Dirichlet draws keep hitting the simplex boundary in double precision; "
-        "work in log-ratio coordinates instead (mc_approx)"
-    )
-
-
-def _normalize_rows(log_g: np.ndarray) -> np.ndarray:
-    shifted = log_g - log_g.max(axis=1, keepdims=True)
-    g = np.exp(shifted)
-    return g / g.sum(axis=1, keepdims=True)
 
 
 def mc_approx(

@@ -74,15 +74,14 @@ def unexplained_variation(theta_hat, theta0) -> float:
 def coverage(intervals, theta0) -> float:
     """Fraction of coordinates whose interval contains the true value."""
     theta0 = np.asarray(theta0, dtype=float)
-    intervals = [(float(lo), float(hi)) for lo, hi in intervals]
-    if len(intervals) != theta0.size:
+    bounds = np.asarray(intervals, dtype=float)
+    if bounds.shape != (theta0.size, 2):
         raise ValueError("one interval per coordinate required")
-    hits = 0
-    for (lo, hi), value in zip(intervals, theta0):
-        if lo > hi:
-            raise ValueError(f"interval has lo > hi: ({lo}, {hi})")
-        if lo <= value <= hi:
-            hits += 1
+    lo, hi = bounds.T
+    if np.any(lo > hi):
+        j = int(np.argmax(lo > hi))
+        raise ValueError(f"interval has lo > hi: ({lo[j]}, {hi[j]})")
+    hits = int(np.count_nonzero((lo <= theta0) & (theta0 <= hi)))
     return hits / theta0.size
 
 

@@ -151,10 +151,6 @@ def corner_design(schema: TableSchema) -> DesignMatrix:
 
 
 def _coordinates(theta, d: int) -> np.ndarray:
-    from .simplex import NaturalParam
-
-    if isinstance(theta, NaturalParam):
-        theta = theta.theta
     arr = np.asarray(theta, dtype=float)
     if arr.ndim < 1 or arr.shape[0] != d:
         raise ValueError(f"expected {d} coordinates along axis 0, got shape {arr.shape}")

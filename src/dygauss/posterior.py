@@ -103,10 +103,6 @@ class CompoundSymmetryMatrix:
     def full_diagonal(self) -> np.ndarray:
         return self.diag + self.common
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return self.diag * v + self.common * v.sum()
-
 
 def cs_solve(m: CompoundSymmetryMatrix, v) -> np.ndarray:
     """Solve (Diag(D) + c 11^T) x = v by Sherman-Morrison in O(d)."""

@@ -1,6 +1,5 @@
 """Transforms between the open simplex and log-ratio coordinates, plus the
-three densities that live on them (Dirichlet, its log-ratio pushforward, and
-the logistic normal).
+two densities that live on them (Dirichlet and its log-ratio pushforward).
 
 Conventions: a point of the d-dimensional open simplex is stored as the d
 free probabilities (p_1, ..., p_d) with p_0 = 1 - sum(p_j) implied. The
@@ -22,14 +21,12 @@ from .specfun import log_gamma
 
 __all__ = [
     "SimplexPoint",
-    "NaturalParam",
     "logistic",
     "log_ratio",
     "jacobian_logdet_inv",
     "log_dirichlet_norm",
     "dirichlet_logpdf",
     "ld_logpdf",
-    "logistic_normal_logpdf",
 ]
 
 
@@ -69,29 +66,7 @@ class SimplexPoint:
         return np.concatenate([[self.p0], self.probs])
 
 
-@dataclass(frozen=True)
-class NaturalParam:
-    """Log-ratio coordinates (t_1, ..., t_d); the implied t_0 is 0."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1 or theta.size < 1:
-            raise ValueError("NaturalParam requires a 1-d vector")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("NaturalParam entries must be finite")
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def d(self) -> int:
-        return self.theta.size
-
-
 def _as_theta(theta) -> np.ndarray:
-    if isinstance(theta, NaturalParam):
-        return theta.theta
     arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1 or not np.all(np.isfinite(arr)):
         raise ValueError("expected a finite 1-d log-ratio vector")
@@ -102,10 +77,11 @@ def _as_simplex(pi) -> SimplexPoint:
     return pi if isinstance(pi, SimplexPoint) else SimplexPoint(np.asarray(pi, dtype=float))
 
 
-def _log_norm(theta: np.ndarray) -> float:
-    """log(1 + sum exp(t_l)), overflow-guarded by max subtraction."""
-    m = max(0.0, float(theta.max()))
-    return m + np.log(np.exp(-m) + np.exp(theta - m).sum())
+def _log_norm(theta: np.ndarray):
+    """log(1 + sum exp(t_l)) over the last axis, overflow-guarded by max
+    subtraction."""
+    m = np.maximum(theta.max(axis=-1), 0.0)
+    return m + np.log(np.exp(-m) + np.exp(theta - m[..., None]).sum(axis=-1))
 
 
 def logistic(theta) -> SimplexPoint:
@@ -123,13 +99,10 @@ def logistic(theta) -> SimplexPoint:
     return SimplexPoint(ex / denom, base / denom)
 
 
-def log_ratio(pi) -> NaturalParam:
+def log_ratio(pi) -> np.ndarray:
     """Inverse of logistic: t_j = log(p_j / p_0). Requires an interior point."""
     p = _as_simplex(pi)
-    p0 = p.p0
-    if p0 <= 0.0:
-        raise ValueError("log_ratio requires an interior simplex point")
-    return NaturalParam(np.log(p.probs) - np.log(p0))
+    return np.log(p.probs) - np.log(p.p0)
 
 
 def jacobian_logdet_inv(theta) -> float:
@@ -139,7 +112,7 @@ def jacobian_logdet_inv(theta) -> float:
     logs of all d + 1 probabilities.
     """
     t = _as_theta(theta)
-    return float(t.sum()) - (t.size + 1) * _log_norm(t)
+    return float(t.sum()) - (t.size + 1) * float(_log_norm(t))
 
 
 def log_dirichlet_norm(beta: np.ndarray) -> float:
@@ -161,38 +134,22 @@ def dirichlet_logpdf(pi, beta) -> float:
     return log_norm + float(((b - 1.0) * log_p).sum())
 
 
-def ld_logpdf(theta, beta) -> float:
+def ld_logpdf(theta, beta):
     """Log density of the log-ratio pushforward of Dirichlet(beta).
 
     This is dirichlet_logpdf at logistic(theta) plus the Jacobian term, but
     evaluated directly in log-ratio coordinates so it stays finite for
-    arbitrarily extreme theta.
+    arbitrarily extreme theta. theta is one point (d,), giving a float, or a
+    batch (n, d), giving n values that share one normalizer.
     """
-    t = _as_theta(theta)
+    t = np.asarray(theta, dtype=float)
+    if t.ndim not in (1, 2) or not np.all(np.isfinite(t)):
+        raise ValueError("expected a finite (d,) or (n, d) log-ratio array")
     b = np.asarray(beta, dtype=float)
-    if b.ndim != 1 or b.size != t.size + 1:
-        raise ValueError(f"concentration must have length d + 1 = {t.size + 1}, got {b.size}")
+    d = t.shape[-1]
+    if b.ndim != 1 or b.size != d + 1:
+        raise ValueError(f"concentration must have length d + 1 = {d + 1}, got {b.size}")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise ValueError("concentration entries must be positive and finite")
-    return log_dirichlet_norm(b) + float((b[1:] * t).sum()) - float(b.sum()) * _log_norm(t)
-
-
-def logistic_normal_logpdf(pi, mu, sigma) -> float:
-    """Log density on the simplex of logistic(G) for Gaussian G ~ N(mu, sigma)."""
-    p = _as_simplex(pi)
-    mu = np.asarray(mu, dtype=float)
-    cov = np.asarray(sigma, dtype=float)
-    if cov.shape == () and p.d == 1:
-        cov = cov.reshape(1, 1)
-    if mu.shape != (p.d,) or cov.shape != (p.d, p.d):
-        raise ValueError("mean/covariance dimensions do not match the simplex point")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be symmetric positive definite") from exc
-    t = log_ratio(p).theta
-    resid = np.linalg.solve(chol, t - mu)
-    quad = float(resid @ resid)
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    log_prob_sum = float(np.log(p.full()).sum())
-    return -0.5 * p.d * np.log(2.0 * np.pi) - 0.5 * logdet - log_prob_sum - 0.5 * quad
+    out = log_dirichlet_norm(b) + (b[1:] * t).sum(axis=-1) - float(b.sum()) * _log_norm(t)
+    return float(out) if t.ndim == 1 else out

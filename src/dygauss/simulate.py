@@ -14,15 +14,14 @@ separate file that is excluded from the determinism contract.
 from __future__ import annotations
 
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import NewtonError, laplace_approx, mc_approx, derive_seed, stream_rng
+from .baselines import NewtonError, _log_gamma_block, derive_seed, laplace_approx, mc_approx, stream_rng
 from .metrics import (
     MetricReport,
     coverage,
@@ -33,7 +32,7 @@ from .metrics import (
     unexplained_variation,
 )
 from .parametrization import DesignMatrix, TableSchema, corner_design, to_theta_star
-from .posterior import DirichletParams, GaussianApprox, optimal_gaussian, transform_gaussian
+from .posterior import DirichletParams, optimal_gaussian, transform_gaussian
 from .tableio import InputError, worker_count
 
 __all__ = [
@@ -89,11 +88,9 @@ class SimulationConfig:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read simulation config {path}: {exc}") from exc
-        if "levels" in payload:
-            levels = tuple(int(v) for v in payload["levels"])
-        elif "p" in payload:
-            levels = (2,) * int(payload["p"])
-        else:
+        if not isinstance(payload, dict):
+            raise InputError(f"simulation config {path} must be a JSON object")
+        if "levels" not in payload and "p" not in payload:
             raise InputError("config needs 'levels' or 'p'")
 
         def as_tuple(key, default, cast):
@@ -103,6 +100,10 @@ class SimulationConfig:
             return tuple(cast(v) for v in value)
 
         try:
+            if "levels" in payload:
+                levels = tuple(int(v) for v in payload["levels"])
+            else:
+                levels = (2,) * int(payload["p"])
             return cls(
                 levels=levels,
                 sample_sizes=as_tuple("N", None, int),
@@ -115,7 +116,7 @@ class SimulationConfig:
                 timing_repeats=int(payload.get("timing_repeats", 5)),
                 out_dir=str(payload.get("out_dir", "compare_out")),
             )
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"invalid simulation config {path}: {exc}") from exc
 
 
@@ -177,9 +178,7 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
     # Truth: pi from the symmetric Dirichlet, theta0 in log scale so tiny
     # cells under a = 1/d cannot underflow the log ratios.
     alpha_full = np.full(d + 1, cond.prior_a)
-    boosted = rng.gamma(alpha_full + 1.0)
-    u = 1.0 - rng.random(d + 1)
-    log_g = np.log(boosted) + np.log(u) / alpha_full
+    log_g = _log_gamma_block(rng, alpha_full, 1)[0]
     theta0 = log_g[1:] - log_g[0]
     shifted = np.exp(log_g - log_g.max())
     pi_full = shifted / shifted.sum()

@@ -1,5 +1,5 @@
-"""File formats: contingency tables (CSV and JSON), prior vectors, reference
-graphs, and sample-batch persistence.
+"""File formats: contingency tables (CSV and JSON), prior vectors and
+reference graphs, plus the worker-pool size read from DYGAUSS_THREADS.
 
 Table CSV: header ``i_1,...,i_p,count``, one row per cell with 0-based level
 indices, any row order, missing cells read as 0, duplicate cells rejected.
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import SampleBatch
 from .parametrization import ContingencyTable, TableSchema, canonical_cell_order
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "load_prior",
     "load_reference_graph",
     "worker_count",
-    "save_batch",
-    "load_batch",
 ]
 
 
@@ -62,7 +59,7 @@ def load_table_json(path) -> ContingencyTable:
     try:
         schema = TableSchema(payload["levels"])
         return ContingencyTable(schema, np.asarray(payload["counts"]))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"invalid table JSON {path}: {exc}") from exc
 
 
@@ -174,33 +171,3 @@ def worker_count(jobs: int) -> int:
         raise InputError(f"DYGAUSS_THREADS must be a positive integer, got {raw!r}")
     return max(1, min(int(raw), cores, jobs))
 
-
-def save_batch(batch: SampleBatch, path, beta=None) -> None:
-    """Persist draws plus an audit sidecar; .npy for flat binary, .csv for text."""
-    path = Path(path)
-    if path.suffix == ".npy":
-        np.save(path, batch.draws)
-    elif path.suffix == ".csv":
-        np.savetxt(path, batch.draws, delimiter=",")
-    else:
-        raise InputError(f"unsupported batch format {path.suffix!r}; use .npy or .csv")
-    sidecar = {
-        "seed": batch.seed,
-        "parametrization": batch.parametrization,
-        "shape": list(batch.draws.shape),
-    }
-    if beta is not None:
-        sidecar["beta"] = np.asarray(beta, dtype=float).tolist()
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-
-
-def load_batch(path) -> SampleBatch:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    if path.suffix == ".npy":
-        draws = np.load(path)
-    elif path.suffix == ".csv":
-        draws = np.loadtxt(path, delimiter=",", ndmin=2)
-    else:
-        raise InputError(f"unsupported batch format {path.suffix!r}")
-    return SampleBatch(draws, int(sidecar["seed"]), sidecar["parametrization"])

@@ -129,7 +129,7 @@ def test_criterion_02_kl_bound_and_quadrature():
         beta = DirichletParams(rng.uniform(0.6, 5.0, 2))
         mean, cov = ld_moments(beta)
         var = cov.to_dense()[0, 0]
-        logp = np.array([ld_logpdf(np.array([x]), beta.beta) for x in nodes])
+        logp = ld_logpdf(nodes[:, None], beta.beta)
         logphi = -0.5 * np.log(2 * math.pi * var) - 0.5 * (nodes - mean[0]) ** 2 / var
         quad = float(np.sum(weights * np.exp(logp) * (logp - logphi)))
         worst_quad = max(worst_quad, abs(quad - exact_min_kl(beta)))

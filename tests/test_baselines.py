@@ -10,7 +10,6 @@ from dygauss.baselines import (
     laplace_approx,
     map_estimate,
     mc_approx,
-    sample_dirichlet,
     stream_rng,
 )
 from dygauss.parametrization import TableSchema, corner_design, to_theta_star
@@ -32,30 +31,6 @@ class TestStreams:
     def test_derive_seed_stable(self):
         assert derive_seed(11, 2, 5) == derive_seed(11, 2, 5)
         assert derive_seed(11, 2, 5) != derive_seed(11, 2, 6)
-
-
-class TestSampleDirichlet:
-    def test_uniform_marginal_mean(self):
-        beta = DirichletParams(np.array([1.0, 1.0]))
-        pis = sample_dirichlet(beta, 100_000, seed=1)
-        assert abs(pis[:, 1].mean() - 0.5) < 0.005
-
-    def test_componentwise_mean(self):
-        beta = DirichletParams(np.array([2.0, 2.0, 2.0]))
-        pis = sample_dirichlet(beta, 100_000, seed=2)
-        np.testing.assert_allclose(pis.mean(axis=0), 1.0 / 3.0, atol=0.005)
-
-    def test_deterministic(self):
-        beta = DirichletParams(np.array([0.5, 3.0, 1.0]))
-        np.testing.assert_array_equal(
-            sample_dirichlet(beta, 200, seed=3), sample_dirichlet(beta, 200, seed=3)
-        )
-
-    def test_rows_on_simplex(self):
-        beta = DirichletParams(np.array([0.7, 0.9, 4.0]))
-        pis = sample_dirichlet(beta, 5000, seed=4)
-        assert np.all(pis > 0)
-        np.testing.assert_allclose(pis.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestMcApprox:

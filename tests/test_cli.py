@@ -51,8 +51,9 @@ class TestApproxCommand:
 
     def test_malformed_table_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        assert main(["approx", "--table", str(bad), "--prior", "1"]) == 2
+        for text in ["not json", '{"levels": [1e400], "counts": [1]}']:
+            bad.write_text(text)
+            assert main(["approx", "--table", str(bad), "--prior", "1"]) == 2, text
 
     def test_nonpositive_prior_exit_2(self, tmp_path):
         table = write_json_table(tmp_path / "t.json", [2], [3, 1])
@@ -86,8 +87,15 @@ class TestCompareCommand:
 
     def test_bad_config_exit_2(self, tmp_path):
         config = tmp_path / "sim.json"
-        config.write_text("{}")
-        assert main(["compare", "--config", str(config)]) == 2
+        for text in [
+            "{}",
+            '{"p": null, "N": [10]}',
+            '{"levels": [2, null], "N": [10]}',
+            '["p"]',
+            '{"p": 1e400, "N": [10]}',
+        ]:
+            config.write_text(text)
+            assert main(["compare", "--config", str(config)]) == 2, text
 
 
 class TestSelectCommand:

@@ -35,7 +35,7 @@ def random_beta(rng, d=None, lo=0.6, hi=50.0):
 def quadrature_kl_1d(beta, mu, var):
     """KL of a 1-d log-ratio law from N(mu, var) by Gauss-Legendre quadrature."""
     nodes, weights = gauss_legendre(-70.0, 70.0, 1500)
-    logp = np.array([ld_logpdf(np.array([x]), beta.beta) for x in nodes])
+    logp = ld_logpdf(nodes[:, None], beta.beta)
     logphi = -0.5 * np.log(2 * math.pi * var) - 0.5 * (nodes - mu) ** 2 / var
     p = np.exp(logp)
     return float(np.sum(weights * p * (logp - logphi)))
@@ -316,7 +316,7 @@ class TestKlInvariance:
         theta_star = np.linalg.solve(x, theta.T).T
         # the corner matrix is unit triangular: |det X| = 1, so the density
         # of theta* is the identity density evaluated at X theta*
-        log_p = np.array([ld_logpdf(t, beta.beta) for t in theta])
+        log_p = ld_logpdf(theta, beta.beta)
         chol = np.linalg.cholesky(star.cov_dense())
         resid = np.linalg.solve(chol, (theta_star - star.mean).T)
         log_q = (

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dygauss.simplex import (
-    NaturalParam,
     SimplexPoint,
     dirichlet_logpdf,
     jacobian_logdet_inv,
     ld_logpdf,
     log_ratio,
     logistic,
-    logistic_normal_logpdf,
 )
 
 from oracles import gauss_legendre
@@ -21,6 +19,14 @@ from oracles import gauss_legendre
 def theta_vectors(max_d=64, lo=-20.0, hi=20.0):
     return st.integers(1, max_d).flatmap(
         lambda d: st.lists(st.floats(lo, hi), min_size=d, max_size=d)
+    )
+
+
+def theta_batches(max_n=16, max_d=8, lo=-40.0, hi=40.0):
+    return st.tuples(st.integers(1, max_n), st.integers(1, max_d)).flatmap(
+        lambda nd: st.lists(st.floats(lo, hi), min_size=nd[0] * nd[1], max_size=nd[0] * nd[1]).map(
+            lambda values: np.reshape(values, nd)
+        )
     )
 
 
@@ -43,7 +49,7 @@ class TestLogistic:
     def test_large_entries_no_overflow(self):
         p = logistic(np.array([600.0, 590.0]))
         assert np.all(np.isfinite(p.probs)) and p.p0 > 0.0
-        back = log_ratio(p).theta
+        back = log_ratio(p)
         np.testing.assert_allclose(back, [600.0, 590.0], rtol=1e-12)
 
     def test_unrepresentable_extremes_rejected(self):
@@ -58,13 +64,13 @@ class TestLogistic:
 
 class TestLogRatio:
     def test_scalar(self):
-        assert log_ratio(np.array([0.5])).theta[0] == pytest.approx(0.0)
+        assert log_ratio(np.array([0.5]))[0] == pytest.approx(0.0)
 
     def test_uniform(self):
-        np.testing.assert_allclose(log_ratio(np.full(3, 0.25)).theta, 0.0, atol=1e-14)
+        np.testing.assert_allclose(log_ratio(np.full(3, 0.25)), 0.0, atol=1e-14)
 
     def test_known(self):
-        t = log_ratio(np.array([0.5, 0.25])).theta
+        t = log_ratio(np.array([0.5, 0.25]))
         np.testing.assert_allclose(t, [math.log(2.0), 0.0], atol=1e-14)
 
     def test_boundary_rejected(self):
@@ -77,7 +83,7 @@ class TestLogRatio:
     @given(theta_vectors())
     def test_roundtrip(self, t):
         theta = np.asarray(t)
-        back = log_ratio(logistic(theta)).theta
+        back = log_ratio(logistic(theta))
         np.testing.assert_allclose(back, theta, atol=1e-11, rtol=1e-11)
 
 
@@ -120,12 +126,12 @@ class TestLdLogpdf:
 
     def test_quadrature_normalization_1d(self):
         nodes, weights = gauss_legendre(-40.0, 40.0, 500)
-        total = sum(w * math.exp(ld_logpdf(np.array([x]), np.array([1.0, 1.0]))) for x, w in zip(nodes, weights))
+        total = float(np.sum(weights * np.exp(ld_logpdf(nodes[:, None], np.array([1.0, 1.0])))))
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_change_of_variable_composition(self):
         beta = np.array([2.0, 1.0, 1.0])
-        theta = log_ratio(np.array([0.2, 0.3])).theta
+        theta = log_ratio(np.array([0.2, 0.3]))
         direct = ld_logpdf(theta, beta)
         composed = dirichlet_logpdf(logistic(theta), beta) + jacobian_logdet_inv(theta)
         assert direct == pytest.approx(composed, abs=1e-10)
@@ -140,12 +146,26 @@ class TestLdLogpdf:
         composed = dirichlet_logpdf(logistic(theta), beta) + jacobian_logdet_inv(theta)
         assert direct == pytest.approx(composed, abs=1e-10)
 
+    @settings(max_examples=150, deadline=None)
+    @given(theta_batches(), st.integers(0, 2**32 - 1))
+    def test_batch_matches_rows(self, theta, seed):
+        beta = np.random.default_rng(seed).uniform(0.1, 50.0, theta.shape[1] + 1)
+        batch = ld_logpdf(theta, beta)
+        assert batch.shape == (theta.shape[0],)
+        rows = np.array([ld_logpdf(row, beta) for row in theta])
+        np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0.0)
+        for single_point_only in (logistic, jacobian_logdet_inv):
+            with pytest.raises(ValueError):
+                single_point_only(theta)
+        with pytest.raises(ValueError):
+            ld_logpdf(theta[None], beta)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_quadrature_normalization_random_beta_1d(self, seed):
         rng = np.random.default_rng(seed)
         beta = rng.uniform(0.5, 5.0, 2)
         nodes, weights = gauss_legendre(-80.0, 80.0, 900)
-        total = sum(w * math.exp(ld_logpdf(np.array([x]), beta)) for x, w in zip(nodes, weights))
+        total = float(np.sum(weights * np.exp(ld_logpdf(nodes[:, None], beta))))
         assert total == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -156,46 +176,5 @@ class TestLdLogpdf:
         xg, yg = np.meshgrid(nodes, nodes, indexing="ij")
         wg = np.outer(weights, weights)
         flat = np.stack([xg.ravel(), yg.ravel()], axis=1)
-        dens = np.array([math.exp(ld_logpdf(row, beta)) for row in flat])
+        dens = np.exp(ld_logpdf(flat, beta))
         assert float((wg.ravel() * dens).sum()) == pytest.approx(1.0, abs=1e-4)
-
-
-class TestLogisticNormalLogpdf:
-    def test_scalar_standard(self):
-        value = logistic_normal_logpdf(np.array([0.5]), np.zeros(1), np.eye(1))
-        assert value == pytest.approx(-0.5 * math.log(2 * math.pi) + math.log(4.0), abs=1e-12)
-
-    def test_uniform_2d(self):
-        value = logistic_normal_logpdf(np.full(2, 1.0 / 3.0), np.zeros(2), np.eye(2))
-        assert value == pytest.approx(-math.log(2 * math.pi) + 3.0 * math.log(3.0), abs=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(theta_vectors(max_d=5, lo=-4.0, hi=4.0))
-    def test_change_of_variable(self, t):
-        theta = np.asarray(t)
-        d = theta.size
-        rng = np.random.default_rng(abs(hash(tuple(t))) % 2**32)
-        mu = rng.normal(size=d)
-        m = rng.normal(size=(d, d))
-        sigma = m @ m.T + 0.3 * np.eye(d)
-        pi = logistic(theta)
-        chol = np.linalg.cholesky(sigma)
-        resid = np.linalg.solve(chol, theta - mu)
-        gauss_log = (
-            -0.5 * d * math.log(2 * math.pi)
-            - float(np.log(np.diag(chol)).sum())
-            - 0.5 * float(resid @ resid)
-        )
-        expected = gauss_log - jacobian_logdet_inv(theta)
-        assert logistic_normal_logpdf(pi, mu, sigma) == pytest.approx(expected, abs=1e-10)
-
-    def test_non_pd_rejected(self):
-        with pytest.raises(ValueError):
-            logistic_normal_logpdf(np.array([0.2, 0.3]), np.zeros(2), -np.eye(2))
-
-
-class TestNaturalParam:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NaturalParam(np.array([np.inf]))
-        assert NaturalParam(np.array([1.0, 2.0])).d == 2

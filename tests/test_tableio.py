@@ -3,17 +3,14 @@ import os
 import numpy as np
 import pytest
 
-from dygauss.baselines import SampleBatch
 from dygauss.parametrization import ContingencyTable, TableSchema
 from dygauss.tableio import (
     InputError,
-    load_batch,
     load_prior,
     load_reference_graph,
     load_table,
     load_table_csv,
     load_table_json,
-    save_batch,
     save_table_csv,
     save_table_json,
     worker_count,
@@ -124,24 +121,6 @@ class TestReferenceGraph:
         path.write_text("1,1\n")
         with pytest.raises(InputError):
             load_reference_graph(path, 4)
-
-
-class TestBatchPersistence:
-    @pytest.mark.parametrize("ext", [".npy", ".csv"])
-    def test_roundtrip(self, tmp_path, ext):
-        rng = np.random.default_rng(0)
-        batch = SampleBatch(rng.normal(size=(20, 3)), seed=99, parametrization="corner")
-        path = tmp_path / f"draws{ext}"
-        save_batch(batch, path, beta=[1.0, 2.0, 3.0, 4.0])
-        back = load_batch(path)
-        np.testing.assert_allclose(back.draws, batch.draws, atol=1e-12)
-        assert back.seed == 99
-        assert back.parametrization == "corner"
-
-    def test_unknown_extension(self, tmp_path):
-        batch = SampleBatch(np.zeros((1, 1)), seed=0)
-        with pytest.raises(InputError):
-            save_batch(batch, tmp_path / "draws.parquet")
 
 
 class TestWorkerCount:
