@@ -20,7 +20,7 @@ from dygauss.selection import lasso_path, pcr_select
 def select(table: ContingencyTable, prior_a: float, alpha: float):
     beta = DirichletParams(prior_a + table.counts)
     design = corner_design(table.schema)
-    gauss = transform_gaussian(optimal_gaussian(beta), design, "to_theta_star")
+    gauss = transform_gaussian(optimal_gaussian(beta), design)
     path = lasso_path(gauss.mean, gauss.cov)
     result = pcr_select(path, gauss.mean, gauss.cov, alpha)
     return result, design.labels

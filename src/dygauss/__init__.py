@@ -35,6 +35,7 @@ from .parametrization import (
 )
 from .posterior import (
     CompoundSymmetryMatrix,
+    DesignCovariance,
     DirichletParams,
     GaussianApprox,
     KLBound,

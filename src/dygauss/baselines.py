@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parametrization import DesignMatrix, to_theta_star
 from .posterior import CompoundSymmetryMatrix, DirichletParams, GaussianApprox
 from .simplex import logistic
 
@@ -61,11 +60,10 @@ def derive_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Posterior draws, one row per sample, plus provenance for audit."""
+    """Log-ratio posterior draws, one row per sample, plus the seed for audit."""
 
     draws: np.ndarray
     seed: int
-    parametrization: str = "identity"
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
@@ -98,11 +96,9 @@ def _log_gamma_block(rng: np.random.Generator, shapes: np.ndarray, n: int) -> np
     return np.log(boosted) + np.log(u) / shapes
 
 
-def mc_approx(
-    beta: DirichletParams, mc: int, seed: int, design: DesignMatrix | None = None
-) -> SampleBatch:
+def mc_approx(beta: DirichletParams, mc: int, seed: int) -> SampleBatch:
     """Monte Carlo posterior approximation: Dirichlet draws mapped to
-    log-ratio coordinates, optionally re-expressed through a design matrix.
+    log-ratio coordinates.
 
     The log ratio of Dirichlet coordinates equals the difference of the
     underlying log-gamma variates, so the draws are formed directly in log
@@ -117,13 +113,7 @@ def mc_approx(
         if bad.size == 0:
             break
         theta[bad] = _theta_draws(rng, beta, bad.size)
-    tag = "identity"
-    if design is not None:
-        if design.d != beta.d:
-            raise ValueError("design matrix dimension does not match the posterior")
-        theta = to_theta_star(theta.T, design).T
-        tag = design.kind
-    return SampleBatch(theta, seed, tag)
+    return SampleBatch(theta, seed)
 
 
 def _theta_draws(rng: np.random.Generator, beta: DirichletParams, n: int) -> np.ndarray:
@@ -150,7 +140,8 @@ def map_estimate(
     Gradient is b_j - B p_j(theta); the negative Hessian B(Diag(p) - p p^T)
     has the closed-form inverse (Diag(1/p) + 11^T/p_0)/B, so each step is
     O(d). Steps are halved until the log posterior does not decrease, which
-    guarantees monotone ascent from the theta = 0 start.
+    guarantees monotone ascent from the theta = 0 start; the halving ends on
+    its own once theta + t step == theta, so an overlong step is never taken.
 
     Convergence: per-coordinate gradient below tol * (1 + b_j). Relative
     scaling matches the gradient's floating-point noise floor (the term
@@ -175,10 +166,7 @@ def map_estimate(
         # Inside the quadratic basin the objective cannot resolve the
         # improvement of a tiny step; damping there only causes dithering.
         if float(np.abs(step).max()) > 1e-3:
-            for _ in range(60):
-                candidate = theta + t * step
-                if _log_posterior(candidate, beta) >= value:
-                    break
+            while _log_posterior(theta + t * step, beta) < value:
                 t *= 0.5
         theta = theta + t * step
         value = _log_posterior(theta, beta)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import NewtonError
-from .metrics import gaussian_intervals
+from .metrics import CREDIBLE_LEVEL, gaussian_intervals
 from .parametrization import (
     ContingencyTable,
     corner_design,
@@ -62,7 +62,7 @@ def _cmd_approx(args) -> int:
     gauss = optimal_gaussian(beta)
     if args.parametrization == "corner":
         design = corner_design(table.schema)
-        gauss = transform_gaussian(gauss, design, "to_theta_star")
+        gauss = transform_gaussian(gauss, design)
     else:
         design = identity_design(table.schema)
     bound = kl_bound(beta)
@@ -70,10 +70,8 @@ def _cmd_approx(args) -> int:
     payload["labels"] = [list(cell) for cell in design.labels]
     payload["exact_min_kl"] = exact_min_kl(beta)
     payload["kl_bound"] = {"value": bound.value, "valid": bound.valid}
-    payload["level"] = 0.95
-    payload["intervals"] = [
-        [lo, hi] for lo, hi in gaussian_intervals(gauss.mean, gauss.variances())
-    ]
+    payload["level"] = CREDIBLE_LEVEL
+    payload["intervals"] = gaussian_intervals(gauss.mean, gauss.variances()).tolist()
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -93,7 +91,7 @@ def _cmd_compare(args) -> int:
 def _select_one(table: ContingencyTable, prior, args) -> tuple[SelectionResult, tuple]:
     beta = _posterior_from(table, prior)
     design = corner_design(table.schema)
-    gauss = transform_gaussian(optimal_gaussian(beta), design, "to_theta_star")
+    gauss = transform_gaussian(optimal_gaussian(beta), design)
     path = lasso_path(
         gauss.mean,
         gauss.cov,

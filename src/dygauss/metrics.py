@@ -12,6 +12,7 @@ import numpy as np
 from .specfun import normal_cdf, normal_quantile
 
 __all__ = [
+    "CREDIBLE_LEVEL",
     "MetricReport",
     "unexplained_variation",
     "coverage",
@@ -20,6 +21,8 @@ __all__ = [
     "frobenius_loss",
     "ks_statistic",
 ]
+
+CREDIBLE_LEVEL = 0.95  # central mass of every credible interval
 
 
 @dataclass(frozen=True)
@@ -85,26 +88,27 @@ def coverage(intervals, theta0) -> float:
     return hits / theta0.size
 
 
-def gaussian_intervals(mean, variances, level: float = 0.95) -> list[tuple[float, float]]:
-    """Symmetric normal credible intervals mean +/- z * sd per coordinate."""
+def gaussian_intervals(mean, variances) -> np.ndarray:
+    """Symmetric normal credible intervals mean +/- z * sd, one (lo, hi) row
+    per coordinate."""
     mean = np.asarray(mean, dtype=float)
     variances = np.asarray(variances, dtype=float)
     if np.any(variances < 0):
         raise ValueError("variances must be nonnegative")
-    z = normal_quantile(0.5 + 0.5 * level)
-    half = z * np.sqrt(variances)
-    return [(float(m - h), float(m + h)) for m, h in zip(mean, half)]
+    half = normal_quantile(0.5 + 0.5 * CREDIBLE_LEVEL) * np.sqrt(variances)
+    return np.stack([mean - half, mean + half], axis=1)
 
 
-def empirical_intervals(draws, level: float = 0.95) -> list[tuple[float, float]]:
-    """Columnwise empirical central intervals from a sample matrix."""
+def empirical_intervals(draws) -> np.ndarray:
+    """Columnwise empirical central intervals from a sample matrix, one
+    (lo, hi) row per coordinate."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be an (mc x d) matrix")
-    tail = 100.0 * 0.5 * (1.0 - level)
+    tail = 100.0 * 0.5 * (1.0 - CREDIBLE_LEVEL)
     lo = np.percentile(draws, tail, axis=0)
     hi = np.percentile(draws, 100.0 - tail, axis=0)
-    return [(float(a), float(b)) for a, b in zip(lo, hi)]
+    return np.stack([lo, hi], axis=1)
 
 
 def frobenius_loss(sigma_hat, sigma) -> float:

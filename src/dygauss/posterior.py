@@ -14,25 +14,27 @@ linear map t -> A t is N(A m, A S A^T). For t* = X^{-1} t that means mean
 X^{-1} m and covariance X^{-1} S X^{-T}. (Displays that write the
 transformed covariance as X^T S X are inconsistent with this rule; the
 change-of-variables form is the one under which KL divergence is invariant,
-and it is what we use.)
+and it is what we use.) The transformed covariance is kept as the pair
+(Sigma*, X), a `DesignCovariance`; it is expanded to a d x d matrix only by
+consumers that need one.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .parametrization import DesignMatrix, from_theta_star, to_theta_star
+from .parametrization import DesignMatrix, TableSchema, from_theta_star, to_theta_star
 from .simplex import log_dirichlet_norm
 from .specfun import digamma, trigamma
 
 __all__ = [
     "DirichletParams",
     "CompoundSymmetryMatrix",
+    "DesignCovariance",
     "GaussianApprox",
     "dy_update",
     "ld_moments",
@@ -103,6 +105,43 @@ class CompoundSymmetryMatrix:
     def full_diagonal(self) -> np.ndarray:
         return self.diag + self.common
 
+    def to_json_dict(self) -> dict:
+        return {"type": "cs", "diag": self.diag.tolist(), "common": self.common}
+
+
+@dataclass(frozen=True)
+class DesignCovariance:
+    """X^{-1} cs X^{-T}: a compound-symmetry covariance carried through a design.
+
+    X^{-1} has entries +-1 exactly on the support of the 0/1 matrix X, so the
+    diagonal is X D + c (X^{-1} 1)^2, O(d p) without forming the matrix.
+    """
+
+    cs: CompoundSymmetryMatrix
+    design: DesignMatrix
+
+    def __post_init__(self):
+        if not isinstance(self.cs, CompoundSymmetryMatrix):
+            raise TypeError("only a compound-symmetry covariance can be carried through a design")
+        if self.cs.d != self.design.d:
+            raise ValueError(f"design is {self.design.d}-dimensional, covariance is {self.cs.d}")
+
+    @property
+    def d(self) -> int:
+        return self.cs.d
+
+    def to_dense(self) -> np.ndarray:
+        full = to_theta_star(to_theta_star(self.cs.to_dense(), self.design).T, self.design)
+        return 0.5 * (full + full.T)
+
+    def full_diagonal(self) -> np.ndarray:
+        signs = to_theta_star(np.ones(self.d), self.design)
+        return from_theta_star(self.cs.diag, self.design) + self.cs.common * signs * signs
+
+    def to_json_dict(self) -> dict:
+        levels = list(self.design.schema.levels)
+        return {**self.cs.to_json_dict(), "type": f"{self.design.kind}_cs", "levels": levels}
+
 
 def cs_solve(m: CompoundSymmetryMatrix, v) -> np.ndarray:
     """Solve (Diag(D) + c 11^T) x = v by Sherman-Morrison in O(d)."""
@@ -133,34 +172,25 @@ def cs_mahalanobis(m: CompoundSymmetryMatrix, v) -> float:
 
 @dataclass(frozen=True)
 class GaussianApprox:
-    """Gaussian with mean vector and either structured or dense covariance.
+    """Gaussian with a mean vector and a structured covariance.
 
     `parametrization` records which coordinates the moments live in:
-    "identity" for raw log ratios, or the kind of the design matrix used to
-    transform them ("corner").
+    "identity" for raw log ratios (covariance a `CompoundSymmetryMatrix`), or
+    the kind of the design used to transform them (a `DesignCovariance`).
     """
 
     mean: np.ndarray
-    cov: CompoundSymmetryMatrix | np.ndarray
+    cov: CompoundSymmetryMatrix | DesignCovariance
     parametrization: str = "identity"
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
-        cov = self.cov
-        if isinstance(cov, CompoundSymmetryMatrix):
-            if cov.d != mean.size:
-                raise ValueError("mean and covariance dimensions disagree")
-        else:
-            cov = np.asarray(cov, dtype=float)
-            if cov.shape != (mean.size, mean.size):
-                raise ValueError("mean and covariance dimensions disagree")
-            if not np.allclose(cov, cov.T, atol=1e-10):
-                raise ValueError("dense covariance must be symmetric")
-            cov = 0.5 * (cov + cov.T)
-            cov.flags.writeable = False
-            object.__setattr__(self, "cov", cov)
+        if not isinstance(self.cov, (CompoundSymmetryMatrix, DesignCovariance)):
+            raise TypeError("covariance must be a CompoundSymmetryMatrix or DesignCovariance")
+        if self.cov.d != mean.size:
+            raise ValueError("mean and covariance dimensions disagree")
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
 
@@ -169,38 +199,28 @@ class GaussianApprox:
         return self.mean.size
 
     def cov_dense(self) -> np.ndarray:
-        if isinstance(self.cov, CompoundSymmetryMatrix):
-            return self.cov.to_dense()
-        return np.asarray(self.cov)
+        return self.cov.to_dense()
 
     def variances(self) -> np.ndarray:
-        if isinstance(self.cov, CompoundSymmetryMatrix):
-            return self.cov.full_diagonal()
-        return np.diag(self.cov).copy()
+        return self.cov.full_diagonal()
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.cov, CompoundSymmetryMatrix):
-            cov = {"type": "cs", "diag": self.cov.diag.tolist(), "common": self.cov.common}
-        else:
-            cov = {"type": "dense", "entries": np.asarray(self.cov).tolist()}
         return {
             "parametrization": self.parametrization,
             "mean": self.mean.tolist(),
-            "cov": cov,
+            "cov": self.cov.to_json_dict(),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GaussianApprox":
         cov_spec = payload["cov"]
-        if cov_spec["type"] == "cs":
-            cov = CompoundSymmetryMatrix(np.array(cov_spec["diag"], dtype=float), float(cov_spec["common"]))
-        elif cov_spec["type"] == "dense":
-            cov = np.array(cov_spec["entries"], dtype=float)
-        else:
-            raise ValueError(f"unknown covariance type {cov_spec['type']!r}")
+        kind = cov_spec["type"]
+        if kind != "cs" and not kind.endswith("_cs"):
+            raise ValueError(f"unknown covariance type {kind!r}")
+        cov = CompoundSymmetryMatrix(np.array(cov_spec["diag"], dtype=float), float(cov_spec["common"]))
+        if kind != "cs":
+            design = DesignMatrix(kind.removesuffix("_cs"), TableSchema(cov_spec["levels"]))
+            cov = DesignCovariance(cov, design)
         return cls(np.array(payload["mean"], dtype=float), cov, payload["parametrization"])
 
 
@@ -227,26 +247,12 @@ def optimal_gaussian(beta: DirichletParams) -> GaussianApprox:
     return GaussianApprox(mean, cov, "identity")
 
 
-def transform_gaussian(
-    g: GaussianApprox, design: DesignMatrix, direction: str = "to_theta_star"
-) -> GaussianApprox:
-    """Push a Gaussian through the design's change of coordinates.
-
-    "to_theta_star" maps t -> X^{-1} t (mean X^{-1} m, covariance
-    X^{-1} S X^{-T}); "to_theta" maps t* -> X t* (mean X m, covariance
-    X S X^T). Both apply `to_theta_star`/`from_theta_star` to the mean and
-    to each axis of the covariance, which comes back dense either way.
-    """
+def transform_gaussian(g: GaussianApprox, design: DesignMatrix) -> GaussianApprox:
+    """Push an identity-space Gaussian through t -> X^{-1} t: mean X^{-1} m,
+    covariance X^{-1} S X^{-T} held as a `DesignCovariance`, O(d p)."""
     if design.d != g.d:
         raise ValueError(f"design is {design.d}-dimensional, Gaussian is {g.d}")
-    if direction == "to_theta_star":
-        apply, tag = to_theta_star, design.kind
-    elif direction == "to_theta":
-        apply, tag = from_theta_star, "identity"
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    new_cov = apply(apply(g.cov_dense(), design).T, design)
-    return GaussianApprox(apply(g.mean, design), 0.5 * (new_cov + new_cov.T), tag)
+    return GaussianApprox(to_theta_star(g.mean, design), DesignCovariance(g.cov, design), design.kind)
 
 
 def _neg_entropy(beta: DirichletParams, psi: np.ndarray) -> float:
@@ -268,6 +274,11 @@ def exact_min_kl(beta: DirichletParams) -> float:
     return _neg_entropy(beta, psi) + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet
 
 
+def _as_dense(sigma) -> np.ndarray:
+    """A structured covariance's d x d expansion, or the given matrix."""
+    return sigma.to_dense() if hasattr(sigma, "to_dense") else np.asarray(sigma, dtype=float)
+
+
 def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
     """KL divergence from the log-ratio law with concentration beta to N(mu, sigma).
 
@@ -279,14 +290,9 @@ def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
     d = beta.d
     if mu.shape != (d,):
         raise ValueError(f"mean must have length {d}, got shape {mu.shape}")
-    if isinstance(sigma, CompoundSymmetryMatrix):
-        if sigma.d != d:
-            raise ValueError("covariance dimension mismatch")
-        cov = sigma.to_dense()
-    else:
-        cov = np.asarray(sigma, dtype=float)
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance must be {d}x{d}, got {cov.shape}")
+    cov = _as_dense(sigma)
+    if cov.shape != (d, d):
+        raise ValueError(f"covariance must be {d}x{d}, got {cov.shape}")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

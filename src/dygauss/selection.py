@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import CompoundSymmetryMatrix, cs_mahalanobis
+from .posterior import CompoundSymmetryMatrix, _as_dense, cs_mahalanobis
 from .specfun import chi2_quantile
 
 __all__ = [
@@ -105,8 +105,8 @@ def _whitening_factor(sigma) -> np.ndarray:
     Compound-symmetry covariances factor analytically: with
     Sigma^{-1} = D^{-1/2}(I - g u u^T)D^{-1/2} for unit u proportional to
     D^{-1/2} 1 and g = c s/(1 + c s), the square root of the middle term is
-    I - eta u u^T with eta = 1 - 1/sqrt(1 + c s). Dense covariances go
-    through a Cholesky factor instead.
+    I - eta u u^T with eta = 1 - 1/sqrt(1 + c s). Any other covariance
+    goes through a Cholesky factor of its dense form instead.
     """
     if isinstance(sigma, CompoundSymmetryMatrix):
         inv_sqrt_d = 1.0 / np.sqrt(sigma.diag)
@@ -115,7 +115,7 @@ def _whitening_factor(sigma) -> np.ndarray:
         u = v / np.sqrt(s)
         eta = 1.0 - 1.0 / np.sqrt(1.0 + sigma.common * s)
         return np.diag(inv_sqrt_d) - eta * np.outer(u, u * inv_sqrt_d)
-    cov = np.asarray(sigma, dtype=float)
+    cov = _as_dense(sigma)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -212,9 +212,8 @@ def mahalanobis_delta(theta0, theta_hat, sigma) -> float:
     diff = np.asarray(theta_hat, dtype=float) - np.asarray(theta0, dtype=float)
     if isinstance(sigma, CompoundSymmetryMatrix):
         return cs_mahalanobis(sigma, diff)
-    cov = np.asarray(sigma, dtype=float)
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(_as_dense(sigma))
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance must be symmetric positive definite") from exc
     half = np.linalg.solve(chol, diff)

@@ -121,30 +121,14 @@ class SimulationConfig:
 
 
 def multinomial_sample(n: int, pi, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts by sequential binomial conditioning.
-
-    `pi` is the full probability vector (all categories). Deterministic for
-    a fixed generator state; consumes one binomial variate per category but
-    the last.
-    """
+    """Multinomial counts over the full probability vector `pi` (all
+    categories); deterministic for a fixed generator state."""
     pi = np.asarray(pi, dtype=float)
     if np.any(pi <= 0) or abs(float(pi.sum()) - 1.0) > 1e-8:
         raise ValueError("pi must be an interior probability vector summing to 1")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    k = pi.size
-    counts = np.zeros(k, dtype=np.int64)
-    remaining = int(n)
-    denom = 1.0
-    for j in range(k - 1):
-        if remaining == 0:
-            break
-        p = min(max(pi[j] / denom, 0.0), 1.0)
-        counts[j] = rng.binomial(remaining, p)
-        remaining -= counts[j]
-        denom = max(denom - pi[j], 1e-300)
-    counts[k - 1] += remaining
-    return counts
+    return rng.multinomial(n, pi)
 
 
 def _time_call(fn, repeats: int):
@@ -221,8 +205,8 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
             mc_draws = {mc: batch.draws for mc, (_, batch) in mc_results.items()}
         else:
             truth = to_theta_star(theta0, cond.design)
-            g_par = transform_gaussian(gauss, cond.design, "to_theta_star")
-            lap_par = transform_gaussian(lap, cond.design, "to_theta_star")
+            g_par = transform_gaussian(gauss, cond.design)
+            lap_par = transform_gaussian(lap, cond.design)
             mc_draws = {
                 mc: to_theta_star(batch.draws.T, cond.design).T
                 for mc, (_, batch) in mc_results.items()

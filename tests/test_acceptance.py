@@ -528,7 +528,7 @@ def test_criterion_11_selection_contract():
         table = ContingencyTable(TableSchema((2, 2)), np.asarray(counts))
         beta = DirichletParams(1.0 + table.counts)
         design = corner_design(table.schema)
-        gauss = transform_gaussian(optimal_gaussian(beta), design, "to_theta_star")
+        gauss = transform_gaussian(optimal_gaussian(beta), design)
         p = lasso_path(gauss.mean, gauss.cov)
         return pcr_select(p, gauss.mean, gauss.cov, alpha=0.1), design.labels
 

@@ -41,7 +41,21 @@ class TestApproxCommand:
         assert payload["labels"][0] == [0, 0, 1]
         assert payload["labels"][3] == [1, 0, 0]
         assert payload["labels"][6] == [1, 1, 1]
-        assert payload["cov"]["type"] == "dense"
+        assert payload["cov"]["type"] == "corner_cs"
+        assert payload["cov"]["levels"] == [2, 2, 2]
+
+    def test_corner_p12_is_compact(self, tmp_path):
+        """The corner covariance is written as (Sigma*, design), not as a
+        4095 x 4095 matrix."""
+        counts = np.random.default_rng(5).integers(0, 30, 2**12).tolist()
+        table = write_json_table(tmp_path / "t.json", [2] * 12, counts)
+        out = tmp_path / "approx.json"
+        argv = ["approx", "--table", table, "--prior", "1", "--parametrization", "corner"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.stat().st_size < 2_000_000
+        payload = json.loads(out.read_text())
+        assert payload["cov"]["type"] == "corner_cs"
+        assert len(payload["cov"]["diag"]) == len(payload["intervals"]) == 4095
 
     def test_out_file(self, tmp_path):
         table = write_json_table(tmp_path / "t.json", [2], [3, 1])
@@ -96,6 +110,16 @@ class TestCompareCommand:
         ]:
             config.write_text(text)
             assert main(["compare", "--config", str(config)]) == 2, text
+
+    def test_prior_one_over_d_runs(self, tmp_path):
+        """a = 1/d at p = 8 (d = 255) once sent the Laplace baseline off the simplex."""
+        config = tmp_path / "sim.json"
+        config.write_text(
+            json.dumps(
+                {"p": 8, "N": [250], "a": [1.0 / 255.0], "mc": [], "replicates": 20, "seed": 1}
+            )
+        )
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
 
 
 class TestSelectCommand:

@@ -17,6 +17,7 @@ from dygauss.metrics import (
 )
 from dygauss.posterior import DirichletParams, optimal_gaussian
 from dygauss.simulate import multinomial_sample
+from dygauss.specfun import normal_quantile
 
 
 class TestUnexplainedVariation:
@@ -63,15 +64,30 @@ class TestCoverage:
             coverage([(1.0, 0.0)], np.array([0.5]))
 
     def test_gaussian_interval_construction(self):
-        (lo, hi), = gaussian_intervals(np.array([2.0]), np.array([4.0]))
+        intervals = gaussian_intervals(np.array([2.0]), np.array([4.0]))
+        assert isinstance(intervals, np.ndarray) and intervals.shape == (1, 2)
+        (lo, hi), = intervals
         z = 1.959963984540054
         assert lo == pytest.approx(2.0 - 2.0 * z, abs=1e-9)
         assert hi == pytest.approx(2.0 + 2.0 * z, abs=1e-9)
 
+    def test_intervals_match_per_coordinate_reference(self):
+        rng = np.random.default_rng(3)
+        mean, variances = rng.normal(size=255), rng.uniform(0.01, 4.0, 255)
+        z = normal_quantile(0.975)
+        expected = [(float(m - h), float(m + h)) for m, h in zip(mean, z * np.sqrt(variances))]
+        np.testing.assert_array_equal(gaussian_intervals(mean, variances), expected)
+        draws = rng.normal(size=(500, 7))
+        tail = 100.0 * 0.5 * (1.0 - 0.95)
+        lo, hi = np.percentile(draws, tail, axis=0), np.percentile(draws, 100.0 - tail, axis=0)
+        np.testing.assert_array_equal(empirical_intervals(draws), list(zip(lo, hi)))
+
     def test_empirical_interval_construction(self):
         rng = np.random.default_rng(2)
         draws = rng.normal(size=(200_000, 2))
-        (lo, hi), _ = empirical_intervals(draws)
+        intervals = empirical_intervals(draws)
+        assert isinstance(intervals, np.ndarray) and intervals.shape == (2, 2)
+        (lo, hi), _ = intervals
         assert lo == pytest.approx(-1.96, abs=0.03)
         assert hi == pytest.approx(1.96, abs=0.03)
 

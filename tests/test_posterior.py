@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dygauss.baselines import mc_approx
 from dygauss.parametrization import DesignMatrix, TableSchema, corner_design, identity_design
@@ -112,25 +114,42 @@ class TestOptimalGaussian:
 class TestTransformGaussian:
     def test_identity_matrix(self):
         g = optimal_gaussian(DirichletParams(np.array([2.0, 3.0, 1.5])))
-        out = transform_gaussian(g, identity_design(TableSchema((3,))), "to_theta_star")
+        out = transform_gaussian(g, identity_design(TableSchema((3,))))
         np.testing.assert_array_equal(out.mean, g.mean)
         np.testing.assert_array_equal(out.cov_dense(), g.cov_dense())
         assert out.parametrization == "identity"
 
-    def test_to_theta_inverts_to_theta_star(self):
-        rng = np.random.default_rng(3)
-        design = corner_design(TableSchema((2, 2, 2)))
-        g = optimal_gaussian(DirichletParams(rng.uniform(0.5, 9.0, 8)))
-        star = transform_gaussian(g, design, "to_theta_star")
-        back = transform_gaussian(star, design, "to_theta")
-        np.testing.assert_allclose(back.mean, g.mean, atol=1e-10)
-        np.testing.assert_allclose(back.cov_dense(), g.cov_dense(), atol=1e-10)
+    @pytest.mark.parametrize("levels", [(2, 2, 2), (3, 2, 4)], ids=["2x2x2", "3x2x4"])
+    def test_dense_expansion_matches_solve(self, levels):
+        schema = TableSchema(levels)
+        design = corner_design(schema)
+        g = optimal_gaussian(DirichletParams(np.random.default_rng(3).uniform(0.5, 9.0, schema.n_cells)))
+        star = transform_gaussian(g, design)
+        x = design.entries.astype(float)
+        expected = np.linalg.solve(x, np.linalg.solve(x, g.cov_dense()).T)
+        np.testing.assert_allclose(star.mean, np.linalg.solve(x, g.mean), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(star.cov_dense(), expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(star.cov_dense(), star.cov_dense().T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(
+            lambda lv: int(np.prod(lv)) <= 128
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_diagonal_equals_dense_diagonal(self, levels, seed):
+        schema = TableSchema(levels)
+        beta = np.random.default_rng(seed).uniform(0.05, 50.0, schema.n_cells)
+        star = transform_gaussian(optimal_gaussian(DirichletParams(beta)), corner_design(schema))
+        dense = np.diag(star.cov_dense())
+        np.testing.assert_allclose(star.variances(), dense, rtol=1e-15, atol=0.0)
 
     def test_monte_carlo_moments_under_transform(self):
         rng = np.random.default_rng(4)
         design = corner_design(TableSchema((2, 2, 2)))
         g = optimal_gaussian(DirichletParams(rng.uniform(1.0, 10.0, 8)))
-        star = transform_gaussian(g, design, "to_theta_star")
+        star = transform_gaussian(g, design)
         n = 200_000
         samples = rng.multivariate_normal(g.mean, g.cov_dense(), size=n)
         star_samples = np.linalg.solve(design.entries.astype(float), samples.T).T
@@ -144,7 +163,7 @@ class TestTransformGaussian:
     def test_dimension_mismatch(self):
         g = optimal_gaussian(DirichletParams(np.ones(3)))
         with pytest.raises(ValueError):
-            transform_gaussian(g, DesignMatrix("identity", TableSchema((2, 3))), "to_theta_star")
+            transform_gaussian(g, DesignMatrix("identity", TableSchema((2, 3))))
 
 
 class TestCompoundSymmetryOps:
@@ -309,7 +328,7 @@ class TestKlInvariance:
         beta = DirichletParams(rng.uniform(1.0, 8.0, 4))
         design = corner_design(TableSchema((2, 2)))
         x = design.entries.astype(float)
-        star = transform_gaussian(optimal_gaussian(beta), design, "to_theta_star")
+        star = transform_gaussian(optimal_gaussian(beta), design)
 
         mc = 400_000
         theta = mc_approx(beta, mc, seed=55).draws
@@ -338,15 +357,26 @@ class TestGaussianApproxSerialization:
         np.testing.assert_allclose(back.cov_dense(), g.cov_dense())
         assert back.parametrization == g.parametrization
 
-    def test_dense_roundtrip(self):
-        design = corner_design(TableSchema((2, 2)))
+    def test_corner_cs_roundtrip(self):
+        design = corner_design(TableSchema((3, 2)))
         g = transform_gaussian(
-            optimal_gaussian(DirichletParams(np.array([2.0, 1.0, 4.0, 3.0]))), design
+            optimal_gaussian(DirichletParams(np.array([2.0, 1.0, 4.0, 3.0, 0.5, 7.0]))), design
         )
-        back = GaussianApprox.from_json_dict(g.to_json_dict())
-        np.testing.assert_allclose(back.cov_dense(), g.cov_dense())
+        payload = json.loads(json.dumps(g.to_json_dict()))
+        assert payload["cov"]["type"] == "corner_cs"
+        assert payload["cov"]["levels"] == [3, 2]
+        back = GaussianApprox.from_json_dict(payload)
+        assert back.cov.design == design
+        np.testing.assert_array_equal(back.mean, g.mean)
+        np.testing.assert_array_equal(back.cov_dense(), g.cov_dense())
         assert back.parametrization == "corner"
 
     def test_validation(self):
+        with pytest.raises(TypeError):
+            GaussianApprox(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(ValueError):
-            GaussianApprox(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
+            GaussianApprox(np.zeros(3), CompoundSymmetryMatrix(np.ones(2), 1.0))
+        with pytest.raises(ValueError):
+            GaussianApprox.from_json_dict(
+                {"parametrization": "corner", "mean": [0.0], "cov": {"type": "dense", "entries": [[1.0]]}}
+            )

@@ -37,6 +37,31 @@ class TestMultinomialSample:
         assert counts.sum() == 100_000
         assert counts[0] > 97_000
 
+    @pytest.mark.parametrize("d", [3, 255, 4095])
+    def test_matches_sequential_binomial_reference(self, d):
+        """Same counts and same generator state afterwards as sequential
+        binomial conditioning, the loop this function used to run."""
+
+        def reference(n, pi, rng):
+            counts = np.zeros(pi.size, dtype=np.int64)
+            remaining, denom = n, 1.0
+            for j in range(pi.size - 1):
+                if remaining == 0:
+                    break
+                counts[j] = rng.binomial(remaining, min(max(pi[j] / denom, 0.0), 1.0))
+                remaining -= counts[j]
+                denom = max(denom - pi[j], 1e-300)
+            counts[-1] += remaining
+            return counts
+
+        for a in (1.0, 1.0 / d, 0.5):
+            for n in (0, 250, 10_000, 1_000_000):
+                pi = stream_rng(d, 0).gamma(a + 1.0, size=d + 1)
+                pi /= pi.sum()
+                ours, theirs = stream_rng(6, d), stream_rng(6, d)
+                np.testing.assert_array_equal(multinomial_sample(n, pi, ours), reference(n, pi, theirs))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_validation(self):
         rng = stream_rng(5)
         with pytest.raises(ValueError):
