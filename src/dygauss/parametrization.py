@@ -12,13 +12,15 @@ The corner matrix X is the Kronecker product of per-variable factors
 I + (first column of ones), minus the baseline row and column; it is unit
 lower triangular. A design is therefore kept as (kind, schema), and only
 this module applies it: on the zero-padded cell cube, X t* is one pass per
-variable axis adding level 0 to the other levels, and X^{-1} t is the same
-pass subtracting (per-axis differences), O(d p) with no matrix. The identity
-design copies. `DesignMatrix.entries` is a dense view derived on demand.
+variable axis adding level 0 to the other levels, X^{-1} t is the same pass
+subtracting (per-axis differences), and X^T v adds levels 1.. into level 0,
+each O(d p) with no matrix. The identity design copies.
+`DesignMatrix.entries` is a dense view derived on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +35,7 @@ __all__ = [
     "corner_design",
     "to_theta_star",
     "from_theta_star",
+    "adjoint_theta_star",
     "marginalize",
 ]
 
@@ -55,7 +58,7 @@ class TableSchema:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.levels))
+        return math.prod(self.levels)
 
     @property
     def d(self) -> int:
@@ -161,7 +164,7 @@ def _apply(theta, design: DesignMatrix, op) -> np.ndarray:
     """Copy for the identity design; for the corner design, one in-place
     pass per variable axis over the zero-padded cell cube, combining levels
     1.. of the axis with level 0 by `op` (np.add applies X, np.subtract
-    X^{-1})."""
+    X^{-1}), or with op None adding levels 1.. into level 0 (X^T)."""
     coords = _coordinates(theta, design.d)
     if design.kind == "identity":
         return coords.copy()
@@ -172,8 +175,11 @@ def _apply(theta, design: DesignMatrix, op) -> np.ndarray:
     view = cube.reshape(schema.levels + rest)
     for axis in range(schema.p):
         lead = (slice(None),) * axis
-        upper = view[lead + (slice(1, None),)]
-        op(upper, view[lead + (slice(0, 1),)], out=upper)
+        lower, upper = view[lead + (slice(0, 1),)], view[lead + (slice(1, None),)]
+        if op is None:
+            lower += upper.sum(axis=axis, keepdims=True)
+        else:
+            op(upper, lower, out=upper)
     return cube[1:]
 
 
@@ -189,6 +195,11 @@ def to_theta_star(theta, design: DesignMatrix) -> np.ndarray:
 def from_theta_star(theta_star, design: DesignMatrix) -> np.ndarray:
     """Evaluate t = X t*, column by column for a (d, ...) array."""
     return _apply(theta_star, design, np.add)
+
+
+def adjoint_theta_star(v, design: DesignMatrix) -> np.ndarray:
+    """Evaluate X^T v, column by column for a (d, ...) array."""
+    return _apply(v, design, None)
 
 
 def marginalize(table: ContingencyTable, keep) -> ContingencyTable:

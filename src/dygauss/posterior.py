@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .parametrization import DesignMatrix, TableSchema, from_theta_star, to_theta_star
+from .parametrization import DesignMatrix, TableSchema, adjoint_theta_star, from_theta_star, to_theta_star
 from .simplex import log_dirichlet_norm
 from .specfun import digamma, trigamma
 
@@ -105,6 +105,9 @@ class CompoundSymmetryMatrix:
     def full_diagonal(self) -> np.ndarray:
         return self.diag + self.common
 
+    def solve(self, v) -> np.ndarray:
+        return cs_solve(self, v)
+
     def to_json_dict(self) -> dict:
         return {"type": "cs", "diag": self.diag.tolist(), "common": self.common}
 
@@ -134,6 +137,10 @@ class DesignCovariance:
         full = to_theta_star(to_theta_star(self.cs.to_dense(), self.design).T, self.design)
         return 0.5 * (full + full.T)
 
+    def solve(self, v) -> np.ndarray:
+        """(X^{-1} cs X^{-T})^{-1} v = X^T cs^{-1} X v, O(d p) per column."""
+        return adjoint_theta_star(self.cs.solve(from_theta_star(v, self.design)), self.design)
+
     def full_diagonal(self) -> np.ndarray:
         signs = to_theta_star(np.ones(self.d), self.design)
         return from_theta_star(self.cs.diag, self.design) + self.cs.common * signs * signs
@@ -144,13 +151,14 @@ class DesignCovariance:
 
 
 def cs_solve(m: CompoundSymmetryMatrix, v) -> np.ndarray:
-    """Solve (Diag(D) + c 11^T) x = v by Sherman-Morrison in O(d)."""
+    """Solve (Diag(D) + c 11^T) x = v by Sherman-Morrison, O(d) per column."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (m.d,):
-        raise ValueError(f"expected a length-{m.d} vector, got shape {v.shape}")
-    w = v / m.diag
+    if v.ndim not in (1, 2) or v.shape[0] != m.d:
+        raise ValueError(f"expected {m.d} rows, got shape {v.shape}")
+    diag = m.diag.reshape((-1,) + (1,) * (v.ndim - 1))
+    w = v / diag
     s = float((1.0 / m.diag).sum())
-    return w - (m.common * w.sum() / (1.0 + m.common * s)) / m.diag
+    return w - (m.common * w.sum(axis=0) / (1.0 + m.common * s)) / diag
 
 
 def cs_logdet(m: CompoundSymmetryMatrix) -> float:
@@ -162,12 +170,7 @@ def cs_logdet(m: CompoundSymmetryMatrix) -> float:
 def cs_mahalanobis(m: CompoundSymmetryMatrix, v) -> float:
     """v^T M^{-1} v >= 0, in O(d)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (m.d,):
-        raise ValueError(f"expected a length-{m.d} vector, got shape {v.shape}")
-    w = v / m.diag
-    s = float((1.0 / m.diag).sum())
-    t = float(w.sum())
-    return float(v @ w) - m.common * t * t / (1.0 + m.common * s)
+    return float(v @ cs_solve(m, v))
 
 
 @dataclass(frozen=True)
@@ -274,11 +277,6 @@ def exact_min_kl(beta: DirichletParams) -> float:
     return _neg_entropy(beta, psi) + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet
 
 
-def _as_dense(sigma) -> np.ndarray:
-    """A structured covariance's d x d expansion, or the given matrix."""
-    return sigma.to_dense() if hasattr(sigma, "to_dense") else np.asarray(sigma, dtype=float)
-
-
 def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
     """KL divergence from the log-ratio law with concentration beta to N(mu, sigma).
 
@@ -290,7 +288,7 @@ def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
     d = beta.d
     if mu.shape != (d,):
         raise ValueError(f"mean must have length {d}, got shape {mu.shape}")
-    cov = _as_dense(sigma)
+    cov = sigma.to_dense() if hasattr(sigma, "to_dense") else np.asarray(sigma, dtype=float)
     if cov.shape != (d, d):
         raise ValueError(f"covariance must be {d}x{d}, got {cov.shape}")
     try:

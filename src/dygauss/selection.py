@@ -10,9 +10,10 @@ Given a posterior approximation N(theta_hat, Sigma), the procedure is:
 
 Candidates come from the lasso path of
     min (theta - theta_hat)^T Sigma^{-1} (theta - theta_hat) + lam * ||theta||_1,
-solved by cyclic coordinate descent on the whitened problem
-||L theta_hat - L theta||^2 with L^T L = Sigma^{-1}. Every emitted path point
-carries a KKT certificate.
+followed exactly by the LARS-lasso homotopy (the path is piecewise linear in
+lam). Sigma^{-1} is applied, never formed: a structured covariance has its own
+O(d p) `solve` (X^T Sigma*^{-1} X v for the corner covariance), a plain matrix
+one Cholesky factor. Every emitted path point carries a KKT certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import CompoundSymmetryMatrix, _as_dense, cs_mahalanobis
 from .specfun import chi2_quantile
 
 __all__ = [
@@ -35,12 +35,15 @@ __all__ = [
     "edge_confusion",
 ]
 
-SUPPORT_EPS = 1e-10  # coordinate descent yields exact zeros; this absorbs roundoff
-MAX_SWEEPS = 10_000  # coordinate-descent sweeps allowed per path point
+SUPPORT_EPS = 1e-10  # the homotopy yields exact zeros off the active set; this absorbs roundoff
+# A |corr_j| on its bound that falls as fast as lam, to this relative rate, stays
+# inactive: tied counts make such tangents exact (a variable that just left is
+# one), and roundoff would have them join and leave at zero-length steps.
+TANGENT = 1e-9
 
 
 class LassoConvergenceError(RuntimeError):
-    """A lasso path point was not certified within MAX_SWEEPS sweeps."""
+    """A lasso path point failed its KKT certificate, or the homotopy stalled."""
 
 
 @dataclass(frozen=True)
@@ -99,28 +102,17 @@ class SelectionResult:
         return payload
 
 
-def _whitening_factor(sigma) -> np.ndarray:
-    """L with L^T L = Sigma^{-1}.
-
-    Compound-symmetry covariances factor analytically: with
-    Sigma^{-1} = D^{-1/2}(I - g u u^T)D^{-1/2} for unit u proportional to
-    D^{-1/2} 1 and g = c s/(1 + c s), the square root of the middle term is
-    I - eta u u^T with eta = 1 - 1/sqrt(1 + c s). Any other covariance
-    goes through a Cholesky factor of its dense form instead.
-    """
-    if isinstance(sigma, CompoundSymmetryMatrix):
-        inv_sqrt_d = 1.0 / np.sqrt(sigma.diag)
-        v = inv_sqrt_d.copy()
-        s = float((inv_sqrt_d * inv_sqrt_d).sum())
-        u = v / np.sqrt(s)
-        eta = 1.0 - 1.0 / np.sqrt(1.0 + sigma.common * s)
-        return np.diag(inv_sqrt_d) - eta * np.outer(u, u * inv_sqrt_d)
-    cov = _as_dense(sigma)
+def _precision(sigma):
+    """v -> Sigma^{-1} v for a (d,) or (d, k) array v: a structured
+    covariance's own `solve`, or two triangular solves against the Cholesky
+    factor of a plain matrix."""
+    if hasattr(sigma, "solve"):
+        return sigma.solve
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance must be symmetric positive definite") from exc
-    return np.linalg.solve(chol, np.eye(cov.shape[0]))
+    return lambda v: np.linalg.solve(chol.T, np.linalg.solve(chol, v))
 
 
 def _support_of(coef: np.ndarray) -> tuple[int, ...]:
@@ -133,14 +125,17 @@ def lasso_path(
     n_lambda: int = 100,
     lambda_min_ratio: float = 1e-3,
 ) -> LassoPath:
-    """Coordinate-descent lasso path for the credible-region objective.
+    """Exact lasso path for the credible-region objective, by homotopy.
 
     The grid is log-spaced from lambda_max = 2 ||Sigma^{-1} theta_hat||_inf
     (the smallest penalty whose solution is exactly zero) down to
-    lambda_max * lambda_min_ratio, warm-starting each point at the previous
-    solution. Iteration stops when the KKT residual is driven well below
-    the certificate tolerance used in the tests; a point that is not
-    certified within MAX_SWEEPS sweeps raises LassoConvergenceError.
+    lambda_max * lambda_min_ratio. With corr = 2 Sigma^{-1} (theta_hat -
+    theta), the active set A holds |corr_A| = lam with signs s; as lam falls,
+    theta_A moves along Q_AA^{-1} s / 2 (Q = Sigma^{-1}) until an inactive
+    |corr_j| reaches lam (j joins) or an active coefficient whose step turns
+    against its sign reaches 0 (it leaves). Grid points are read off these
+    segments. A point whose KKT residual exceeds 1e-9 max(1, lambda_max), or
+    a path that stops making progress, raises LassoConvergenceError.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     d = theta_hat.size
@@ -148,10 +143,9 @@ def lasso_path(
         raise ValueError("n_lambda must be >= 1")
     if not (0.0 < lambda_min_ratio <= 1.0):
         raise ValueError("lambda_min_ratio must lie in (0, 1]")
-    a = _whitening_factor(sigma)
-    z = a @ theta_hat
-    grad_at_zero = 2.0 * (a.T @ z)  # 2 Sigma^{-1} theta_hat
-    lam_max = float(np.abs(grad_at_zero).max())
+    precision = _precision(sigma)
+    corr_at_zero = 2.0 * precision(theta_hat)
+    lam_max = float(np.abs(corr_at_zero).max())
     if lam_max == 0.0:
         # theta_hat is exactly zero; the path is the single zero model.
         return LassoPath(np.array([1.0]), np.zeros((1, d)), (tuple(),))
@@ -159,65 +153,73 @@ def lasso_path(
     lambdas = np.exp(
         np.linspace(np.log(lam_max), np.log(lam_max * lambda_min_ratio), n_lambda)
     )
-    col_norms = (a * a).sum(axis=0)  # Sigma^{-1} diagonal
-    kkt_tol = 1e-9 * max(1.0, lam_max)
-
     coefs = np.zeros((n_lambda, d))
     theta = np.zeros(d)
-    resid = z.copy()
-    for i, lam in enumerate(lambdas):
-        half = 0.5 * lam
-        for _ in range(MAX_SWEEPS):
-            delta_max = 0.0
-            for j in range(d):
-                old = theta[j]
-                rho = float(a[:, j] @ resid) + col_norms[j] * old
-                new = _soft_threshold(rho, half) / col_norms[j]
-                if new != old:
-                    resid -= (new - old) * a[:, j]
-                    theta[j] = new
-                    delta_max = max(delta_max, abs(new - old))
-            if delta_max <= 1e-14 * max(1.0, float(np.abs(theta).max())):
-                if _kkt_residual(a, resid, theta, lam) <= kkt_tol:
-                    break
+    active = np.zeros(0, dtype=int)
+    columns = np.zeros((d, 0))  # Q[:, active]
+    lam, emitted, stalls = lambdas[0], 0, 0
+    while True:
+        corr = corr_at_zero - 2.0 * (columns @ theta[active])
+        signs = np.sign(corr[active])
+        step = 0.5 * np.linalg.solve(columns[active], signs)  # d theta_A / d(-lam)
+        slope = 2.0 * (columns @ step)  # d corr / d(-lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            leave = np.where(signs * step < 0.0, np.maximum(-theta[active] / step, 0.0), np.inf)
+            up = np.where(slope < 1.0 - TANGENT, np.maximum(lam - corr, 0.0) / (1.0 - slope), np.inf)
+            down = np.where(slope > TANGENT - 1.0, np.maximum(lam + corr, 0.0) / (1.0 + slope), np.inf)
+        join = np.minimum(up, down)
+        join[active] = np.inf
+        to_end, leave_at = lam - lambdas[-1], float(leave.min(initial=np.inf))
+        gamma = min(to_end, float(join.min()), leave_at)
+        lam_next = lambdas[-1] if gamma == to_end else lam - gamma
+        stop = int(np.searchsorted(-lambdas, -lam_next, side="right"))
+        coefs[emitted:stop, active] = theta[active] + (lam - lambdas[emitted:stop, None]) * step
+        emitted = stop
+        theta[active] += gamma * step
+        if gamma == to_end:
+            break
+        stalls = stalls + 1 if lam_next == lam else 0
+        if stalls > 2 * d:
+            raise LassoConvergenceError(f"lasso homotopy stalled at lambda={lam:.6g} on tied variables")
+        lam = lam_next
+        if gamma == leave_at:
+            k = int(np.argmin(leave))
+            theta[active[k]] = 0.0
+            active, columns = np.delete(active, k), np.delete(columns, k, axis=1)
         else:
-            raise LassoConvergenceError(
-                f"lasso path point {i} (lambda={lam:.6g}) not certified after {MAX_SWEEPS} sweeps"
-            )
-        coefs[i] = theta
+            j = int(np.argmin(join))
+            unit = np.zeros(d)
+            unit[j] = 1.0
+            active, columns = np.append(active, j), np.column_stack([columns, precision(unit)])
+
+    grad = 2.0 * precision((coefs - theta_hat).T).T
+    residual = _kkt_residuals(grad, coefs, lambdas)
+    bad = np.flatnonzero(residual > 1e-9 * max(1.0, lam_max))
+    if bad.size:
+        i = int(bad[0])
+        raise LassoConvergenceError(
+            f"lasso path point {i} (lambda={lambdas[i]:.6g}) not certified: KKT residual {residual[i]:.3g}"
+        )
     supports = tuple(_support_of(c) for c in coefs)
     return LassoPath(lambdas, coefs, supports)
 
 
-def _soft_threshold(x: float, threshold: float) -> float:
-    if x > threshold:
-        return x - threshold
-    if x < -threshold:
-        return x + threshold
-    return 0.0
-
-
-def _kkt_residual(a: np.ndarray, resid: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    grad = -2.0 * (a.T @ resid)  # 2 Sigma^{-1} (theta - theta_hat)
+def _kkt_residuals(grad: np.ndarray, coefs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Worst KKT violation per path point, given each point's gradient
+    grad = 2 Sigma^{-1} (coef - theta_hat) as a row."""
+    lam = lambdas[:, None]
     violation = np.where(
-        np.abs(theta) > SUPPORT_EPS,
-        np.abs(grad + lam * np.sign(theta)),
+        np.abs(coefs) > SUPPORT_EPS,
+        np.abs(grad + lam * np.sign(coefs)),
         np.maximum(np.abs(grad) - lam, 0.0),
     )
-    return float(violation.max(initial=0.0))
+    return violation.max(axis=1, initial=0.0)
 
 
 def mahalanobis_delta(theta0, theta_hat, sigma) -> float:
     """(theta_hat - theta0)^T Sigma^{-1} (theta_hat - theta0)."""
     diff = np.asarray(theta_hat, dtype=float) - np.asarray(theta0, dtype=float)
-    if isinstance(sigma, CompoundSymmetryMatrix):
-        return cs_mahalanobis(sigma, diff)
-    try:
-        chol = np.linalg.cholesky(_as_dense(sigma))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be symmetric positive definite") from exc
-    half = np.linalg.solve(chol, diff)
-    return float(half @ half)
+    return float(diff @ _precision(sigma)(diff))
 
 
 def pcr_select(path: LassoPath, theta_hat, sigma, alpha: float) -> SelectionResult:
@@ -234,9 +236,10 @@ def pcr_select(path: LassoPath, theta_hat, sigma, alpha: float) -> SelectionResu
     if d < 2:
         raise ValueError("selection needs at least 2 coefficients (threshold uses d - 1 dof)")
     delta_max = chi2_quantile(1.0 - alpha, d - 1)
+    diffs = theta_hat - path.coefs
+    deltas = np.einsum("ij,ji->i", diffs, _precision(sigma)(diffs.T))
     best = None
-    for coef, support in zip(path.coefs, path.supports):
-        delta = mahalanobis_delta(coef, theta_hat, sigma)
+    for coef, support, delta in zip(path.coefs, path.supports, deltas.tolist()):
         if delta > delta_max:
             continue
         key = (len(support), delta)

@@ -14,6 +14,7 @@ separate file that is excluded from the determinism contract.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "metric,parametrization,N,mc,replicate,value"
+# Each replicate expands d x d covariances (d = cells - 1) for the Frobenius
+# loss and the Laplace baseline; at 4096 cells one such matrix is 134 MB.
+MAX_STUDY_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class SimulationConfig:
     def __post_init__(self):
         if any(v < 2 for v in self.levels) or not self.levels:
             raise InputError(f"invalid schema levels {self.levels}")
+        if math.prod(self.levels) > MAX_STUDY_CELLS:
+            raise InputError(f"the study holds at most {MAX_STUDY_CELLS} cells, levels {self.levels} have more")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise InputError("sample sizes must be positive")
         if not self.prior_a or any(a <= 0 for a in self.prior_a):
@@ -102,6 +108,8 @@ class SimulationConfig:
         try:
             if "levels" in payload:
                 levels = tuple(int(v) for v in payload["levels"])
+            elif int(payload["p"]) > math.log2(MAX_STUDY_CELLS):
+                raise InputError(f"the study holds at most {MAX_STUDY_CELLS} cells, p = {payload['p']} has more")
             else:
                 levels = (2,) * int(payload["p"])
             return cls(

@@ -107,6 +107,9 @@ class TestCompareCommand:
             '{"levels": [2, null], "N": [10]}',
             '["p"]',
             '{"p": 1e400, "N": [10]}',
+            '{"p": 40, "N": [10], "replicates": 1, "mc": []}',
+            '{"p": 64, "N": [10], "replicates": 1, "mc": []}',
+            '{"p": 10000000000, "N": [10], "replicates": 1, "mc": []}',
         ]:
             config.write_text(text)
             assert main(["compare", "--config", str(config)]) == 2, text
@@ -166,6 +169,25 @@ class TestSelectCommand:
         total = confusion["tp"] + confusion["fp"] + confusion["tn"] + confusion["fn"]
         assert total == 4 * 3  # C(3, 2) slots per marginal
         assert 0.0 <= confusion["f1"] <= 1.0
+
+    @pytest.mark.parametrize("n_lambda", ["20", "100"])
+    def test_tied_correlations_exit_0(self, tmp_path, capsys, n_lambda):
+        """A select-marginals benchmark input (seed 301, table 11, marginal
+        (0, 1, 3)). Its repeated count 10464 makes the path degenerate: one
+        active coefficient stands still over whole segments."""
+        counts = [7371, 10464, 9671, 13714, 7572, 10464, 16403, 24341]
+        table = write_json_table(tmp_path / "t.json", [2, 2, 2], counts)
+        argv = ["select", "--table", table, "--prior", "1", "--alpha", "0.1", "--n-lambda", n_lambda]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["delta"] <= payload["delta_max"]
+
+    def test_full_eight_variable_table_exit_0(self, tmp_path, capsys):
+        counts = np.random.default_rng(301).integers(0, 200, 256).tolist()
+        table = write_json_table(tmp_path / "t.json", [2] * 8, counts)
+        assert main(["select", "--table", table, "--prior", "1", "--alpha", "0.1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["delta"] <= payload["delta_max"]
 
     def test_marginals_too_large_exit_2(self, tmp_path):
         table = write_json_table(tmp_path / "t.json", [2, 2], [1, 2, 3, 4])

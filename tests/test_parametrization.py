@@ -10,6 +10,7 @@ from dygauss.parametrization import (
     TableSchema,
     canonical_cell_order,
     corner_design,
+    adjoint_theta_star,
     from_theta_star,
     identity_design,
     marginalize,
@@ -162,6 +163,7 @@ class TestThetaStarConversion:
             star = to_theta_star(t, design)
             np.testing.assert_allclose(star, np.linalg.solve(x, t), rtol=0, atol=1e-12)
             np.testing.assert_allclose(from_theta_star(t, design), x @ t, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(adjoint_theta_star(t, design), x.T @ t, rtol=0, atol=1e-12)
 
     def test_identity_transform_builds_no_matrix(self):
         """A dense 2^14 design would take 268 MB as int8; the operator needs

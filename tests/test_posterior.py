@@ -130,6 +130,8 @@ class TestTransformGaussian:
         np.testing.assert_allclose(star.mean, np.linalg.solve(x, g.mean), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(star.cov_dense(), expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(star.cov_dense(), star.cov_dense().T)
+        v = np.random.default_rng(4).normal(size=(schema.d, 3))
+        np.testing.assert_allclose(star.cov.solve(v), np.linalg.solve(expected, v), rtol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(

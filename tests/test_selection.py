@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import lasso_path_cd
 
 from dygauss import selection
 from dygauss.cli import main
-from dygauss.posterior import CompoundSymmetryMatrix
+from dygauss.parametrization import TableSchema, corner_design
+from dygauss.posterior import CompoundSymmetryMatrix, DirichletParams, optimal_gaussian, transform_gaussian
 from dygauss.selection import (
     ConfusionCounts,
     LassoConvergenceError,
@@ -26,6 +31,29 @@ def kkt_residuals(path, theta_hat, sigma_inv):
             else:
                 worst_inactive = max(worst_inactive, abs(grad[j]) - lam)
     return worst_active, worst_inactive
+
+
+def corner_gaussian(levels, counts, prior=1.0):
+    beta = DirichletParams(prior + np.asarray(counts, dtype=float))
+    return transform_gaussian(optimal_gaussian(beta), corner_design(TableSchema(levels)))
+
+
+def assert_matches_coordinate_descent(path, theta, cov):
+    reference = lasso_path_cd(theta, cov, path.lambdas)
+    np.testing.assert_allclose(path.coefs, reference, rtol=0.0, atol=1e-9)
+    assert path.supports == tuple(selection._support_of(c) for c in reference)
+
+
+@st.composite
+def corner_tables(draw):
+    """Mixed-level tables of at most 12 cells whose counts repeat: every cell
+    takes one of at most three values, so correlations tie exactly."""
+    levels = draw(
+        st.lists(st.integers(2, 4), min_size=2, max_size=3).filter(lambda v: math.prod(v) <= 12)
+    )
+    pool = draw(st.lists(st.integers(0, 200), min_size=1, max_size=3))
+    counts = draw(st.lists(st.sampled_from(pool), min_size=math.prod(levels), max_size=math.prod(levels)))
+    return levels, counts, draw(st.sampled_from([0.5, 1.0]))
 
 
 class TestLassoPath:
@@ -57,6 +85,7 @@ class TestLassoPath:
         active, inactive = kkt_residuals(path, theta, np.linalg.inv(sigma))
         assert active < 1e-6
         assert inactive < 1e-6
+        assert_matches_coordinate_descent(path, theta, sigma)
 
     def test_kkt_certificates_compound_symmetry(self):
         rng = np.random.default_rng(17)
@@ -64,6 +93,28 @@ class TestLassoPath:
         theta = rng.normal(size=12)
         path = lasso_path(theta, cs)
         active, inactive = kkt_residuals(path, theta, np.linalg.inv(cs.to_dense()))
+        assert active < 1e-6 and inactive < 1e-6
+        assert_matches_coordinate_descent(path, theta, cs.to_dense())
+
+    @settings(max_examples=60, deadline=None)
+    @given(corner_tables())
+    # an active coefficient at exactly 0 whose step turns against its sign must leave
+    @example(((2, 2, 2), [154, 119, 119, 154, 119, 119, 154, 154], 1.0))
+    # two inactive correlations stay on the bound as lam falls (tangent, not joining)
+    @example(((4, 3), [119, 119, 143, 143, 143, 119, 143, 119, 143, 143, 143, 119], 0.5))
+    def test_matches_coordinate_descent_on_tied_corner_tables(self, table):
+        levels, counts, prior = table
+        gauss = corner_gaussian(levels, counts, prior)
+        path = lasso_path(gauss.mean, gauss.cov, n_lambda=20)
+        assert_matches_coordinate_descent(path, gauss.mean, gauss.cov.to_dense())
+
+    @pytest.mark.parametrize("hi", [60, 200])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certified_on_full_five_variable_tables(self, seed, hi):
+        """Coordinate descent left 5 of these 12 tables uncertified."""
+        gauss = corner_gaussian((2,) * 5, np.random.default_rng(seed).integers(0, hi, 32))
+        path = lasso_path(gauss.mean, gauss.cov)
+        active, inactive = kkt_residuals(path, gauss.mean, np.linalg.inv(gauss.cov.to_dense()))
         assert active < 1e-6 and inactive < 1e-6
 
     def test_support_grows_from_empty(self):
@@ -75,14 +126,16 @@ class TestLassoPath:
 
     def test_kkt_residual_matches_loop(self):
         rng = np.random.default_rng(9)
-        a, resid, lam = rng.normal(size=(12, 12)), rng.normal(size=12), 0.7
-        theta = np.where(rng.random(12) < 0.5, 0.0, rng.normal(size=12))
-        grad = -2.0 * (a.T @ resid)
-        expected = max(
-            abs(g + lam * np.sign(t)) if abs(t) > 1e-10 else max(0.0, abs(g) - lam)
-            for g, t in zip(grad, theta)
-        )
-        assert selection._kkt_residual(a, resid, theta, lam) == expected
+        grad, lambdas = rng.normal(size=(5, 12)), rng.uniform(0.2, 1.0, 5)
+        coefs = np.where(rng.random((5, 12)) < 0.5, 0.0, rng.normal(size=(5, 12)))
+        expected = [
+            max(
+                abs(g + lam * np.sign(t)) if abs(t) > 1e-10 else max(0.0, abs(g) - lam)
+                for g, t in zip(point_grad, coef)
+            )
+            for point_grad, coef, lam in zip(grad, coefs, lambdas)
+        ]
+        assert selection._kkt_residuals(grad, coefs, lambdas).tolist() == expected
 
     def test_zero_estimate_short_circuit(self):
         path = lasso_path(np.zeros(4), np.eye(4))
@@ -100,24 +153,16 @@ class TestLassoPath:
             LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), ((0, 1, 2), (0, 1, 2)))
 
 
-class TestSweepLimit:
-    """A path point that coordinate descent does not certify within MAX_SWEEPS
-    raises instead of being returned."""
-
-    def test_lasso_path_raises(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        sigma = (q * np.logspace(-4, 0, 8)) @ q.T  # condition number 1e4
-        theta = rng.normal(size=8)
-        assert lasso_path(theta, sigma, n_lambda=10).n_points == 10
-        monkeypatch.setattr(selection, "MAX_SWEEPS", 1)
-        with pytest.raises(LassoConvergenceError, match="not certified"):
-            lasso_path(theta, sigma, n_lambda=10)
-
-    def test_select_exits_3(self, tmp_path, monkeypatch, capsys):
+class TestCertificate:
+    def test_uncertified_point_raises_and_select_exits_3(self, tmp_path, monkeypatch, capsys):
+        """A path point whose KKT residual exceeds the tolerance is never returned."""
+        monkeypatch.setattr(
+            selection, "_kkt_residuals", lambda grad, coefs, lambdas: np.where(lambdas < lambdas[0], 1.0, 0.0)
+        )
+        with pytest.raises(LassoConvergenceError, match="point 1 .*not certified"):
+            lasso_path(np.array([1.0, -2.0, 0.5]), np.eye(3), n_lambda=10)
         table = tmp_path / "t.json"
         table.write_text('{"levels": [2, 2, 2], "counts": [90, 3, 4, 1, 2, 5, 1, 40]}')
-        monkeypatch.setattr(selection, "MAX_SWEEPS", 1)
         assert main(["select", "--table", str(table), "--prior", "1", "--alpha", "0.1"]) == 3
         assert "not certified" in capsys.readouterr().err
 
