@@ -153,14 +153,21 @@ class TestLassoPath:
             LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), ((0, 1, 2), (0, 1, 2)))
 
 
-class TestCertificate:
-    def test_uncertified_point_raises_and_select_exits_3(self, tmp_path, monkeypatch, capsys):
-        """A path point whose KKT residual exceeds the tolerance is never returned."""
+class TestSweepLimit:
+    """A path point whose KKT residual exceeds the tolerance raises instead of
+    being returned; `_kkt_residuals` is patched to report a violation."""
+
+    @pytest.fixture
+    def uncertified(self, monkeypatch):
         monkeypatch.setattr(
             selection, "_kkt_residuals", lambda grad, coefs, lambdas: np.where(lambdas < lambdas[0], 1.0, 0.0)
         )
+
+    def test_lasso_path_raises(self, uncertified):
         with pytest.raises(LassoConvergenceError, match="point 1 .*not certified"):
             lasso_path(np.array([1.0, -2.0, 0.5]), np.eye(3), n_lambda=10)
+
+    def test_select_exits_3(self, uncertified, tmp_path, capsys):
         table = tmp_path / "t.json"
         table.write_text('{"levels": [2, 2, 2], "counts": [90, 3, 4, 1, 2, 5, 1, 40]}')
         assert main(["select", "--table", str(table), "--prior", "1", "--alpha", "0.1"]) == 3
