@@ -29,7 +29,7 @@ def select(table: ContingencyTable, prior_a: float, alpha: float):
 def describe(name, counts, levels, alpha):
     table = ContingencyTable(TableSchema(levels), np.asarray(counts))
     result, labels = select(table, prior_a=1.0, alpha=alpha)
-    kept = [labels[j] for j in result.support]
+    kept = [tuple(labels[j].tolist()) for j in result.support]
     interactions = [cell for cell in kept if sum(v != 0 for v in cell) >= 2]
     print(f"\n--- {name} (alpha={alpha}) ---")
     print(f"counts: {[int(c) for c in table.counts]}")

@@ -67,17 +67,23 @@ def _cmd_approx(args) -> int:
         design = identity_design(table.schema)
     bound = kl_bound(beta)
     payload = gauss.to_json_dict()
-    payload["labels"] = [list(cell) for cell in design.labels]
+    payload["labels"] = design.labels.tolist()
     payload["exact_min_kl"] = exact_min_kl(beta)
     payload["kl_bound"] = {"value": bound.value, "valid": bound.valid}
     payload["level"] = CREDIBLE_LEVEL
     payload["intervals"] = gaussian_intervals(gauss.mean, gauss.variances()).tolist()
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    _write_json(payload, args.out)
+    return 0
+
+
+def _write_json(payload: dict, out: str | None) -> None:
+    """One line of compact JSON (the C encoder) to `out`, or to stdout."""
+    text = json.dumps(payload)
+    if out:
+        with open(out, "w") as handle:
+            print(text, file=handle)
     else:
         print(text)
-    return 0
 
 
 def _cmd_compare(args) -> int:
@@ -88,7 +94,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _select_one(table: ContingencyTable, prior, args) -> tuple[SelectionResult, tuple]:
+def _select_one(table: ContingencyTable, prior, args) -> tuple[SelectionResult, np.ndarray]:
     beta = _posterior_from(table, prior)
     design = corner_design(table.schema)
     gauss = transform_gaussian(optimal_gaussian(beta), design)
@@ -106,7 +112,7 @@ def _edges_of(result: SelectionResult, labels, variables) -> set[tuple[int, int]
     """Variable pairs covered jointly by at least one selected interaction."""
     edges: set[tuple[int, int]] = set()
     for j in result.support:
-        active = [variables[v] for v, level in enumerate(labels[j]) if level != 0]
+        active = [variables[v] for v in np.flatnonzero(labels[j])]
         if len(active) >= 2:
             edges.update(
                 (min(u, v), max(u, v)) for u, v in combinations(active, 2)
@@ -141,7 +147,7 @@ def _cmd_select(args) -> int:
     if args.marginals is None:
         result, labels = _select_one(table, args.prior, args)
         payload.update(result.to_json_dict(labels))
-        payload["labels"] = [list(cell) for cell in labels]
+        payload["labels"] = labels.tolist()
     else:
         k = args.marginals
         if k < 1 or k > p:
@@ -182,11 +188,7 @@ def _cmd_select(args) -> int:
                 selected_edges, reference_edges, universes
             ).to_json_dict()
 
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, args.out)
     return 0
 
 

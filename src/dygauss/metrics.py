@@ -106,9 +106,7 @@ def empirical_intervals(draws) -> np.ndarray:
     if draws.ndim != 2:
         raise ValueError("draws must be an (mc x d) matrix")
     tail = 100.0 * 0.5 * (1.0 - CREDIBLE_LEVEL)
-    lo = np.percentile(draws, tail, axis=0)
-    hi = np.percentile(draws, 100.0 - tail, axis=0)
-    return np.stack([lo, hi], axis=1)
+    return np.percentile(draws, [tail, 100.0 - tail], axis=0).T
 
 
 def frobenius_loss(sigma_hat, sigma) -> float:

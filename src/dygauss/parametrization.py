@@ -92,10 +92,12 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-def canonical_cell_order(schema: TableSchema) -> list[tuple[int, ...]]:
-    """All cells in canonical order, (0, ..., 0) first."""
-    grids = np.indices(schema.levels).reshape(schema.p, -1).T
-    return [tuple(int(v) for v in row) for row in grids]
+def canonical_cell_order(schema: TableSchema) -> np.ndarray:
+    """All cells in canonical order, (0, ..., 0) first: an (n_cells, p)
+    read-only integer array with one row of level indices per cell."""
+    cells = np.indices(schema.levels).reshape(schema.p, -1).T
+    cells.flags.writeable = False
+    return cells
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,11 @@ class DesignMatrix:
     def d(self) -> int:
         return self.schema.d
 
-    @cached_property
-    def labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(canonical_cell_order(self.schema)[1:])
+    @property
+    def labels(self) -> np.ndarray:
+        """(d, p) read-only array: row j holds the cell of coordinate j.
+        Built on each access, so it is freed with its last reference."""
+        return canonical_cell_order(self.schema)[1:]
 
     @cached_property
     def entries(self) -> np.ndarray:

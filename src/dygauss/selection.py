@@ -98,7 +98,7 @@ class SelectionResult:
             "fallback": self.fallback,
         }
         if labels is not None:
-            payload["support_labels"] = [list(labels[j]) for j in self.support]
+            payload["support_labels"] = [labels[j].tolist() for j in self.support]
         return payload
 
 

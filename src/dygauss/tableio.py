@@ -5,7 +5,14 @@ Table CSV: header ``i_1,...,i_p,count``, one row per cell with 0-based level
 indices, any row order, missing cells read as 0, duplicate cells rejected.
 Level counts are inferred as 1 + the largest index seen per variable (at
 least 2), so a CSV cannot describe a table with no observations; use the
-JSON form for that.
+JSON form for that. Lines holding only commas and whitespace are skipped
+anywhere. The header is split by the ``csv`` module. The body is parsed by
+one ``np.loadtxt`` call into an int64 array: each field is an ASCII decimal
+integer in the int64 range, with an optional sign, surrounding whitespace
+and optional double quotes. The cells are placed with one
+``np.ravel_multi_index``, and duplicates are found with ``np.unique``. Only
+when a check fails is the text scanned line by line, to name the file line
+of the first offending row.
 
 Table JSON: ``{"levels": [d_1, ..., d_p], "counts": [...]}`` with counts in
 canonical cell order (last variable fastest).
@@ -17,8 +24,10 @@ blank lines and ``#`` comments ignored.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,51 +72,91 @@ def load_table_json(path) -> ContingencyTable:
         raise InputError(f"invalid table JSON {path}: {exc}") from exc
 
 
+# A non-empty line of only commas and whitespace, with the newline before it.
+_BLANK_LINE = re.compile(r"\n(?:[^\S\n]|,)+(?=\n|\Z)")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_INT64 = np.iinfo(np.int64)
+
+
 def load_table_csv(path) -> ContingencyTable:
     try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read table CSV {path}: {exc}") from exc
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
+    # Blank lines become empty lines, which np.loadtxt skips. With the
+    # leading newline, file line n follows the n-th newline of `text`.
+    text = _BLANK_LINE.sub("\n", "\n" + text)
+    header, _, body = text.lstrip("\n").partition("\n")
+    if not header:
         raise InputError(f"table CSV {path} is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in next(csv.reader([header]))]
     if len(header) < 2 or header[-1] != "count":
         raise InputError(f"table CSV {path} needs a header 'i_1,...,i_p,count'")
     p = len(header) - 1
-    seen: dict[tuple[int, ...], int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != p + 1:
-            raise InputError(f"{path}:{lineno}: expected {p + 1} columns, got {len(row)}")
-        try:
-            cell = tuple(int(v) for v in row[:p])
-            count = int(row[p])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if any(v < 0 for v in cell) or count < 0:
-            raise InputError(f"{path}:{lineno}: negative level index or count")
-        if cell in seen:
-            raise InputError(f"{path}:{lineno}: duplicate cell {cell}")
-        seen[cell] = count
-    if not seen:
+    if not body.strip("\n"):
         raise InputError(f"table CSV {path} has no data rows; level counts cannot be inferred")
-    levels = tuple(max(2, 1 + max(cell[v] for cell in seen)) for v in range(p))
+    try:
+        values = np.loadtxt(
+            io.StringIO(body), dtype=np.int64, delimiter=",", comments=None,
+            quotechar='"', ndmin=2,
+        )
+    except ValueError as exc:
+        _raise_first_bad_row(path, text, p)
+        raise InputError(f"table CSV {path}: {exc}") from exc
+    if values.shape[1] != p + 1:
+        line = _data_line(text, 0)
+        raise InputError(f"{path}:{line}: expected {p + 1} columns, got {values.shape[1]}")
+    negative = (values < 0).any(axis=1)
+    if negative.any():
+        line = _data_line(text, int(np.argmax(negative)))
+        raise InputError(f"{path}:{line}: negative level index or count")
+    cells = values[:, :p]
+    levels = tuple(max(2, 1 + int(top)) for top in cells.max(axis=0))
     schema = TableSchema(levels)
     counts = np.zeros(schema.n_cells, dtype=np.int64)
-    strides = np.cumprod((1,) + levels[::-1][:-1])[::-1]
-    for cell, count in seen.items():
-        counts[int(np.dot(cell, strides))] = count
+    flat = np.ravel_multi_index(cells.T, levels)
+    _, first = np.unique(flat, return_index=True)
+    if first.size < flat.size:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[first] = False
+        row = int(np.argmax(repeat))
+        cell = tuple(int(v) for v in cells[row])
+        raise InputError(f"{path}:{_data_line(text, row)}: duplicate cell {cell}")
+    counts[flat] = values[:, p]
     return ContingencyTable(schema, counts)
 
 
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(file line number, line) of each data line of the blanked `text`."""
+    return [(lineno, line) for lineno, line in enumerate(text.split("\n")) if line][1:]
+
+
+def _data_line(text: str, row: int) -> int:
+    """File line number of data row `row` (0-based)."""
+    return _data_lines(text)[row][0]
+
+
+def _raise_first_bad_row(path, text: str, p: int) -> None:
+    """Raise InputError naming the first data line that is not p + 1 int64
+    fields; return if every line is."""
+    for lineno, line in _data_lines(text):
+        fields = next(csv.reader([line]))
+        if len(fields) != p + 1:
+            raise InputError(f"{path}:{lineno}: expected {p + 1} columns, got {len(fields)}")
+        for field in fields:
+            if not _INTEGER.fullmatch(field):
+                raise InputError(f"{path}:{lineno}: not an integer: {field.strip()!r}")
+            if not _INT64.min <= int(field) <= _INT64.max:
+                raise InputError(f"{path}:{lineno}: {field.strip()} is outside the int64 range")
+
+
 def save_table_csv(table: ContingencyTable, path) -> None:
-    cells = canonical_cell_order(table.schema)
+    cells = canonical_cell_order(table.schema).tolist()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"i_{v + 1}" for v in range(table.schema.p)] + ["count"])
-        for cell, count in zip(cells, table.counts):
-            writer.writerow(list(cell) + [int(count)])
+        for cell, count in zip(cells, table.counts.tolist()):
+            writer.writerow(cell + [count])
 
 
 def save_table_json(table: ContingencyTable, path) -> None:

@@ -3,6 +3,7 @@ brackets, numerical quadrature, and bisection. None of these share code with
 the implementation under test.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -158,3 +159,37 @@ def lasso_path_cd(theta_hat, cov, lambdas) -> np.ndarray:
                     break
         coefs[i] = theta
     return coefs
+
+
+def load_table_csv_rows(path) -> tuple[tuple[int, ...], np.ndarray]:
+    """Reference table-CSV reader, one Python row at a time: (levels, counts
+    in canonical order). Rejects malformed input with ValueError, or with
+    OverflowError for a count beyond int64."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise ValueError(f"table CSV {path} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if len(header) < 2 or header[-1] != "count":
+        raise ValueError(f"table CSV {path} needs a header 'i_1,...,i_p,count'")
+    p = len(header) - 1
+    seen: dict[tuple[int, ...], int] = {}
+    for row in rows[1:]:
+        if len(row) != p + 1:
+            raise ValueError(f"expected {p + 1} columns, got {len(row)}")
+        cell = tuple(int(v) for v in row[:p])
+        count = int(row[p])
+        if any(v < 0 for v in cell) or count < 0:
+            raise ValueError("negative level index or count")
+        if cell in seen:
+            raise ValueError(f"duplicate cell {cell}")
+        seen[cell] = count
+    if not seen:
+        raise ValueError(f"table CSV {path} has no data rows")
+    levels = tuple(max(2, 1 + max(cell[v] for cell in seen)) for v in range(p))
+    counts = np.zeros(math.prod(levels), dtype=np.int64)
+    strides = np.cumprod((1,) + levels[::-1][:-1])[::-1]
+    for cell, count in seen.items():
+        counts[int(np.dot(cell, strides))] = count
+    return levels, counts

@@ -533,12 +533,12 @@ def test_criterion_11_selection_contract():
         return pcr_select(p, gauss.mean, gauss.cov, alpha=0.1), design.labels
 
     dependent, labels = select_counts([50, 5, 5, 50])
-    dep_labels = [labels[j] for j in dependent.support]
-    assert (1, 1) in dep_labels
+    dep_labels = [labels[j].tolist() for j in dependent.support]
+    assert [1, 1] in dep_labels
 
     independent, labels = select_counts([25, 25, 25, 25])
-    ind_labels = [labels[j] for j in independent.support]
-    assert (1, 1) not in ind_labels
+    ind_labels = [labels[j].tolist() for j in independent.support]
+    assert [1, 1] not in ind_labels
 
     elapsed = time.perf_counter() - start
     ok = worst_kkt < 1e-6 and soft_ok

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dygauss.cli import main
+from dygauss.parametrization import TableSchema, canonical_cell_order
 from dygauss.specfun import digamma, trigamma
 
 
@@ -68,6 +69,31 @@ class TestApproxCommand:
         for text in ["not json", '{"levels": [1e400], "counts": [1]}']:
             bad.write_text(text)
             assert main(["approx", "--table", str(bad), "--prior", "1"]) == 2, text
+
+    def test_malformed_csv_rows_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        for text, line in [
+            ("i_1,i_2,count\n0,0,1\n1,1,100000000000000000000\n", 3),
+            ("i_1,i_2,count\n0,0,1\n\n\n1,x,3\n", 5),
+        ]:
+            bad.write_text(text)
+            assert main(["approx", "--table", str(bad), "--prior", "1"]) == 2, text
+            assert f"bad.csv:{line}: " in capsys.readouterr().err
+
+    def test_mixed_level_corner_labels_and_compact_json(self, tmp_path):
+        schema = TableSchema((3, 2, 4))
+        cells = canonical_cell_order(schema).tolist()
+        rows = [",".join(map(str, cell + [3 * i % 7])) for i, cell in enumerate(cells)]
+        table = tmp_path / "t.csv"
+        table.write_text("i_1,i_2,i_3,count\n" + "\n".join(rows[::-1]) + "\n")
+        out = tmp_path / "approx.json"
+        argv = ["approx", "--table", str(table), "--prior", "1",
+                "--parametrization", "corner", "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert payload["labels"] == cells[1:]
+        assert text == json.dumps(payload) + "\n"
 
     def test_nonpositive_prior_exit_2(self, tmp_path):
         table = write_json_table(tmp_path / "t.json", [2], [3, 1])

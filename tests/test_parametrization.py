@@ -57,30 +57,32 @@ def mixed_schemas(max_cells=512):
 
 class TestCanonicalCellOrder:
     def test_single_binary(self):
-        assert canonical_cell_order(TableSchema((2,))) == [(0,), (1,)]
+        assert canonical_cell_order(TableSchema((2,))).tolist() == [[0], [1]]
 
     def test_two_by_two(self):
-        assert canonical_cell_order(TableSchema((2, 2))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert canonical_cell_order(TableSchema((2, 2))).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_last_variable_fastest(self):
         cells = canonical_cell_order(TableSchema((2, 2, 2)))
-        assert cells[0] == (0, 0, 0)
+        assert cells.shape == (8, 3)
+        assert cells[0].tolist() == [0, 0, 0]
         # nonzero cells map to coordinates 1..7 in this order
-        assert cells[1] == (0, 0, 1)
-        assert cells[4] == (1, 0, 0)
-        assert cells[7] == (1, 1, 1)
+        assert cells[1].tolist() == [0, 0, 1]
+        assert cells[4].tolist() == [1, 0, 0]
+        assert cells[7].tolist() == [1, 1, 1]
 
     def test_mixed_levels(self):
         cells = canonical_cell_order(TableSchema((2, 3)))
-        assert cells == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert cells.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
 
 
 class TestCornerDesign:
     def test_three_way_exact(self):
         design = corner_design(TableSchema((2, 2, 2)))
         np.testing.assert_array_equal(design.entries, THREE_WAY_MATRIX)
-        assert design.labels[0] == (0, 0, 1)
-        assert design.labels[6] == (1, 1, 1)
+        assert design.labels.shape == (7, 3)
+        assert design.labels[0].tolist() == [0, 0, 1]
+        assert design.labels[6].tolist() == [1, 1, 1]
 
     def test_single_variable(self):
         np.testing.assert_array_equal(corner_design(TableSchema((2,))).entries, [[1]])

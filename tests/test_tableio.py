@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dygauss.parametrization import ContingencyTable, TableSchema
+from oracles import load_table_csv_rows
 from dygauss.tableio import (
     InputError,
     load_prior,
@@ -53,6 +55,76 @@ class TestCsvRoundtrip:
         path = tmp_path / "t.csv"
         path.write_text("i_1,count\n")
         with pytest.raises(InputError):
+            load_table_csv(path)
+
+
+BLANKS = ["", "   ", "\t", " , ", ",,"]
+
+
+@st.composite
+def csv_tables(draw):
+    """CSV text of a valid table: levels 2-4, at most 256 cells, rows
+    shuffled, some cells missing, blank lines and spaces around fields."""
+    levels = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(
+        lambda ls: int(np.prod(ls)) <= 256
+    ))
+    p = len(levels)
+    cells = np.indices(levels).reshape(p, -1).T.tolist()
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    rows = [cell for cell, k in zip(cells, keep) if k] or [cells[-1]]
+    rows = draw(st.permutations(rows))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    lines = [",".join(f"i_{v + 1}" for v in range(p)) + ",count"]
+    for cell in rows:
+        count = draw(st.integers(0, 10**6))
+        fields = [draw(pad) + str(v) + draw(pad) for v in cell + [count]]
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(BLANKS)))
+    lead = draw(st.lists(st.sampled_from(BLANKS), max_size=2))
+    return "\n".join(lead + lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestCsvAgainstRowReference:
+    @given(text=csv_tables())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_table_as_row_reader(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        levels, counts = load_table_csv_rows(path)
+        table = load_table_csv(path)
+        assert table.schema.levels == levels
+        np.testing.assert_array_equal(table.counts, counts)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("i_1,i_2,count\n0,0,1\n1,1,4\n\n0,0,3\n", 5),  # duplicate
+            ("i_1,i_2,count\n0,0,1\n  \n1,-1,4\n", 4),  # negative index
+            ("i_1,i_2,count\n0,0,1\n1,0,-4\n", 3),  # negative count
+            ("i_1,i_2,count\n0,0,1\n\n1,1\n", 4),  # too few columns
+            ("i_1,i_2,count\n0,0,1\n1,1,2,3\n", 3),  # too many columns
+            ("i_1,i_2,count\n0,0\n1,1\n", 2),  # every row one column short
+            ("i_1,i_2,count\n0,0,1\n1,1,2.5\n", 3),  # non-integer
+            ("i_1,i_2,count\n0,0,1\n1,1,100000000000000000000\n", 3),  # count above int64
+            ("i_1,i_2,count\n0,0,1\n\n\n1,x,3\n", 5),  # non-integer after blank lines
+        ],
+        ids=["duplicate", "negative-index", "negative-count", "short-row", "long-row",
+             "all-rows-short", "non-integer", "int64-overflow", "line-after-blanks"],
+    )
+    def test_malformed_row_names_its_file_line(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=rf"t\.csv:{line}: "):
+            load_table_csv(path)
+        with pytest.raises((ValueError, OverflowError)):
+            load_table_csv_rows(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n,\n", "i_1,count\n\n , \n"])
+    def test_empty_rejected(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match="empty|no data rows"):
             load_table_csv(path)
 
 
