@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posterior import CompoundSymmetryMatrix, DirichletParams, GaussianApprox
-from .simplex import logistic
 
 __all__ = [
     "SampleBatch",
@@ -126,6 +125,24 @@ def _theta_draws(rng: np.random.Generator, beta: DirichletParams, n: int) -> np.
     return out
 
 
+def _softmax(theta: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cell probabilities at log ratios theta: (p_1, ..., p_d) and p_0, with
+    p_j = e^{t_j} / (1 + sum e^{t_l}).
+
+    Overflow is guarded by max subtraction, and p_0 is produced directly (not
+    as 1 - sum p_j). A probability that underflows to 0 (or a non-finite
+    theta) raises ValueError rather than feeding 1/p into a Newton step.
+    """
+    m = max(0.0, float(theta.max()))
+    ex = np.exp(theta - m)
+    base = np.exp(-m)
+    denom = base + ex.sum()
+    probs, p0 = ex / denom, base / denom
+    if not (probs.min() > 0.0 and p0 > 0.0):
+        raise ValueError("log ratios leave the simplex interior (a probability underflows to 0)")
+    return probs, p0
+
+
 def _log_posterior(theta: np.ndarray, beta: DirichletParams) -> float:
     m = max(0.0, float(theta.max()))
     log_norm = m + math.log(math.exp(-m) + float(np.exp(theta - m).sum()))
@@ -156,12 +173,11 @@ def map_estimate(
     theta = np.zeros(beta.d)
     value = _log_posterior(theta, beta)
     for _ in range(max_iter):
-        pi = logistic(theta)
-        p = pi.probs
+        p, p0 = _softmax(theta)
         grad = b[1:] - total * p
         if np.all(np.abs(grad) < thresholds):
             return theta
-        step = (grad / p + grad.sum() / pi.p0) / total
+        step = (grad / p + grad.sum() / p0) / total
         t = 1.0
         # Inside the quadratic basin the objective cannot resolve the
         # improvement of a tiny step; damping there only causes dithering.
@@ -170,8 +186,7 @@ def map_estimate(
                 t *= 0.5
         theta = theta + t * step
         value = _log_posterior(theta, beta)
-    pi = logistic(theta)
-    grad = b[1:] - total * pi.probs
+    grad = b[1:] - total * _softmax(theta)[0]
     if np.all(np.abs(grad) < thresholds):
         return theta
     grad_norm = float(np.abs(grad).max())
@@ -192,7 +207,7 @@ def laplace_approx(beta: DirichletParams, tol: float = 1e-10, max_iter: int = 10
     Diag(1/b_j) + (1/b_0) 11^T.
     """
     theta_hat = map_estimate(beta, tol=tol, max_iter=max_iter)
-    pi = logistic(theta_hat)
+    p, p0 = _softmax(theta_hat)
     total = beta.total
-    cov = CompoundSymmetryMatrix(1.0 / (total * pi.probs), 1.0 / (total * pi.p0))
+    cov = CompoundSymmetryMatrix(1.0 / (total * p), 1.0 / (total * p0))
     return GaussianApprox(theta_hat, cov, "identity")

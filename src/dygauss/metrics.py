@@ -5,7 +5,7 @@ and the one-sample Kolmogorov-Smirnov statistic against a Gaussian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class MetricReport:
     sample_size: int = 0
     mc: int = 0
     replicate: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.value):

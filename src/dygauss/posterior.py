@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .parametrization import DesignMatrix, TableSchema, adjoint_theta_star, from_theta_star, to_theta_star
-from .simplex import log_dirichlet_norm
-from .specfun import digamma, trigamma
+from .specfun import digamma, log_gamma, trigamma
 
 __all__ = [
     "DirichletParams",
@@ -40,9 +39,6 @@ __all__ = [
     "ld_moments",
     "optimal_gaussian",
     "transform_gaussian",
-    "cs_solve",
-    "cs_logdet",
-    "cs_mahalanobis",
     "exact_min_kl",
     "kl_to_gaussian",
     "KLBound",
@@ -106,7 +102,19 @@ class CompoundSymmetryMatrix:
         return self.diag + self.common
 
     def solve(self, v) -> np.ndarray:
-        return cs_solve(self, v)
+        """Solve (Diag(D) + c 11^T) x = v by Sherman-Morrison, O(d) per column."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.d:
+            raise ValueError(f"expected {self.d} rows, got shape {v.shape}")
+        diag = self.diag.reshape((-1,) + (1,) * (v.ndim - 1))
+        w = v / diag
+        s = float((1.0 / self.diag).sum())
+        return w - (self.common * w.sum(axis=0) / (1.0 + self.common * s)) / diag
+
+    def logdet(self) -> float:
+        """log det via the matrix-determinant lemma: sum log D_j + log(1 + c sum 1/D_j)."""
+        s = float((1.0 / self.diag).sum())
+        return float(np.log(self.diag).sum()) + math.log1p(self.common * s)
 
     def to_json_dict(self) -> dict:
         return {"type": "cs", "diag": self.diag.tolist(), "common": self.common}
@@ -148,29 +156,6 @@ class DesignCovariance:
     def to_json_dict(self) -> dict:
         levels = list(self.design.schema.levels)
         return {**self.cs.to_json_dict(), "type": f"{self.design.kind}_cs", "levels": levels}
-
-
-def cs_solve(m: CompoundSymmetryMatrix, v) -> np.ndarray:
-    """Solve (Diag(D) + c 11^T) x = v by Sherman-Morrison, O(d) per column."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != m.d:
-        raise ValueError(f"expected {m.d} rows, got shape {v.shape}")
-    diag = m.diag.reshape((-1,) + (1,) * (v.ndim - 1))
-    w = v / diag
-    s = float((1.0 / m.diag).sum())
-    return w - (m.common * w.sum(axis=0) / (1.0 + m.common * s)) / diag
-
-
-def cs_logdet(m: CompoundSymmetryMatrix) -> float:
-    """log det via the matrix-determinant lemma: sum log D_j + log(1 + c sum 1/D_j)."""
-    s = float((1.0 / m.diag).sum())
-    return float(np.log(m.diag).sum()) + math.log1p(m.common * s)
-
-
-def cs_mahalanobis(m: CompoundSymmetryMatrix, v) -> float:
-    """v^T M^{-1} v >= 0, in O(d)."""
-    v = np.asarray(v, dtype=float)
-    return float(v @ cs_solve(m, v))
 
 
 @dataclass(frozen=True)
@@ -260,9 +245,11 @@ def transform_gaussian(g: GaussianApprox, design: DesignMatrix) -> GaussianAppro
 
 def _neg_entropy(beta: DirichletParams, psi: np.ndarray) -> float:
     """E log p(t) under the log-ratio law, given psi = digamma(beta):
-    log-normalizer + sum_j b_j (psi(b_j) - psi(B))."""
+    log-normalizer + sum_j b_j (psi(b_j) - psi(B)), where the log-normalizer
+    of Dirichlet(b) is log Gamma(B) - sum_j log Gamma(b_j)."""
     b = beta.beta
-    return log_dirichlet_norm(b) + float((b * (psi - digamma(beta.total))).sum())
+    log_norm = log_gamma(b.sum()) - float(log_gamma(b).sum())
+    return log_norm + float((b * (psi - digamma(beta.total))).sum())
 
 
 def exact_min_kl(beta: DirichletParams) -> float:
@@ -273,7 +260,7 @@ def exact_min_kl(beta: DirichletParams) -> float:
     """
     psi = digamma(beta.beta)
     tri = trigamma(beta.beta)
-    logdet = cs_logdet(CompoundSymmetryMatrix(tri[1:], tri[0]))
+    logdet = CompoundSymmetryMatrix(tri[1:], tri[0]).logdet()
     return _neg_entropy(beta, psi) + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet
 
 

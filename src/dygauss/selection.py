@@ -18,7 +18,7 @@ one Cholesky factor. Every emitted path point carries a KKT certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "SelectionResult",
     "ConfusionCounts",
     "lasso_path",
-    "mahalanobis_delta",
     "pcr_select",
     "edge_confusion",
 ]
@@ -216,12 +215,6 @@ def _kkt_residuals(grad: np.ndarray, coefs: np.ndarray, lambdas: np.ndarray) -> 
     return violation.max(axis=1, initial=0.0)
 
 
-def mahalanobis_delta(theta0, theta_hat, sigma) -> float:
-    """(theta_hat - theta0)^T Sigma^{-1} (theta_hat - theta0)."""
-    diff = np.asarray(theta_hat, dtype=float) - np.asarray(theta0, dtype=float)
-    return float(diff @ _precision(sigma)(diff))
-
-
 def pcr_select(path: LassoPath, theta_hat, sigma, alpha: float) -> SelectionResult:
     """Sparsest path model inside the (1 - alpha) credible ellipsoid.
 
@@ -253,13 +246,14 @@ def pcr_select(path: LassoPath, theta_hat, sigma, alpha: float) -> SelectionResu
     return SelectionResult(coef.copy(), support, delta, delta_max, alpha, fallback=False)
 
 
+@dataclass(frozen=True)
 class ConfusionCounts:
     """Aggregated slot-level classification counts with derived rates."""
 
-    __slots__ = ("tp", "fp", "tn", "fn")
-
-    def __init__(self, tp: int, fp: int, tn: int, fn: int):
-        self.tp, self.fp, self.tn, self.fn = tp, fp, tn, fn
+    tp: int
+    fp: int
+    tn: int
+    fn: int
 
     @property
     def fdr(self) -> float:
@@ -272,25 +266,7 @@ class ConfusionCounts:
         return 2 * self.tp / denom if denom else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "fdr": self.fdr,
-            "f1": self.f1,
-        }
-
-    def __repr__(self):
-        return (
-            f"ConfusionCounts(tp={self.tp}, fp={self.fp}, tn={self.tn}, fn={self.fn}, "
-            f"fdr={self.fdr:.4f}, f1={self.f1:.4f})"
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ConfusionCounts):
-            return NotImplemented
-        return (self.tp, self.fp, self.tn, self.fn) == (other.tp, other.fp, other.tn, other.fn)
+        return {**asdict(self), "fdr": self.fdr, "f1": self.f1}
 
 
 def edge_confusion(selected, reference, universes) -> ConfusionCounts:

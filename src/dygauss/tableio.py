@@ -12,7 +12,10 @@ integer in the int64 range, with an optional sign, surrounding whitespace
 and optional double quotes. The cells are placed with one
 ``np.ravel_multi_index``, and duplicates are found with ``np.unique``. Only
 when a check fails is the text scanned line by line, to name the file line
-of the first offending row.
+of the first offending row. A CSV whose inferred levels give more than
+``MAX_CSV_CELLS`` (2^24) cells is rejected before the count vector is
+allocated: one row with a large level index would otherwise ask for the
+product of every index range in memory.
 
 Table JSON: ``{"levels": [d_1, ..., d_p], "counts": [...]}`` with counts in
 canonical cell order (last variable fastest).
@@ -26,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -76,6 +80,7 @@ def load_table_json(path) -> ContingencyTable:
 _BLANK_LINE = re.compile(r"\n(?:[^\S\n]|,)+(?=\n|\Z)")
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 _INT64 = np.iinfo(np.int64)
+MAX_CSV_CELLS = 2**24  # 16x the 2^20 cells of a full p = 20 binary table
 
 
 def load_table_csv(path) -> ContingencyTable:
@@ -112,8 +117,14 @@ def load_table_csv(path) -> ContingencyTable:
         raise InputError(f"{path}:{line}: negative level index or count")
     cells = values[:, :p]
     levels = tuple(max(2, 1 + int(top)) for top in cells.max(axis=0))
+    n_cells = math.prod(levels)
+    if n_cells > MAX_CSV_CELLS:
+        raise InputError(
+            f"table CSV {path}: inferred levels {levels} give {n_cells} cells, "
+            f"more than the {MAX_CSV_CELLS} a CSV table may hold"
+        )
     schema = TableSchema(levels)
-    counts = np.zeros(schema.n_cells, dtype=np.int64)
+    counts = np.zeros(n_cells, dtype=np.int64)
     flat = np.ravel_multi_index(cells.T, levels)
     _, first = np.unique(flat, return_index=True)
     if first.size < flat.size:

@@ -119,6 +119,24 @@ def gumbel_normal_ks_limit() -> float:
     )
 
 
+def ld_logpdf(theta, beta):
+    """Log density of the log-ratio pushforward of Dirichlet(beta),
+    lnGamma(B) - sum_j lnGamma(b_j) + sum_j b_j t_j - B log(1 + sum_l e^{t_l}),
+    evaluated in log-ratio coordinates so it stays finite for extreme theta.
+    theta is one point (d,), giving a float, or a batch (n, d), giving n
+    values."""
+    t = np.asarray(theta, dtype=float)
+    b = np.asarray(beta, dtype=float)
+    if t.ndim not in (1, 2) or b.shape != (t.shape[-1] + 1,):
+        raise ValueError(f"expected (d,) or (n, d) points with d + 1 concentrations, got {t.shape}, {b.shape}")
+    if not np.all(b > 0.0):
+        raise ValueError("concentration entries must be positive")
+    padded = np.concatenate([np.zeros(t.shape[:-1] + (1,)), t], axis=-1)
+    log_norm = special.logsumexp(padded, axis=-1)
+    out = special.gammaln(b.sum()) - special.gammaln(b).sum() + (t * b[1:]).sum(axis=-1) - b.sum() * log_norm
+    return float(out) if t.ndim == 1 else out
+
+
 def lasso_path_cd(theta_hat, cov, lambdas) -> np.ndarray:
     """Lasso path of min (t - theta_hat)^T cov^{-1} (t - theta_hat) + lam ||t||_1
     on the given grid, by cyclic coordinate descent on the whitened problem

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dygauss.cli import main
 from dygauss.parametrization import TableSchema, canonical_cell_order
@@ -79,6 +80,13 @@ class TestApproxCommand:
             bad.write_text(text)
             assert main(["approx", "--table", str(bad), "--prior", "1"]) == 2, text
             assert f"bad.csv:{line}: " in capsys.readouterr().err
+
+    def test_large_level_index_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("i_1,i_2,count\n0,0,1\n1000000,1000000,5\n")
+        assert main(["approx", "--table", str(bad), "--prior", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(1000001, 1000001)" in err
 
     def test_mixed_level_corner_labels_and_compact_json(self, tmp_path):
         schema = TableSchema((3, 2, 4))
@@ -272,3 +280,109 @@ class TestStrongDependenceWorkflow:
         assert by_vars[(1, 2)]["edges"] == []
         assert payload["confusion"]["fn"] == 0
         assert payload["confusion"]["fp"] == 0
+
+
+# Level indices and counts: small ones (tables of at most 4^3 = 64 cells),
+# ones whose inferred cell count is over the CSV limit, ones beyond int64,
+# negatives, and non-integers.
+HUGE_INDEX = st.integers(2**24, 2**63 - 1)
+BAD_FIELDS = st.one_of(
+    HUGE_INDEX.map(str),
+    st.integers(2**63, 2**70).map(str),
+    st.integers(-3, -1).map(str),
+    st.sampled_from(["", " ", "x", "1.5", " 2 ", '"3"', "1e3", "nan", "0x1", "1,2"]),
+)
+PRIOR_SPECS = st.one_of(
+    st.sampled_from(["1", "0.5", "1e-4", "0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+PRIOR_VALUES = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), 1e-320, 1e308]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Table CSV rows of up to 3 variables with indices 0-3 (at most 64
+    cells), with a few fields, rows or the header replaced."""
+    p = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 3).map(str), min_size=p + 1, max_size=p + 1), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, p))] = draw(BAD_FIELDS)
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.lists(st.integers(0, 3).map(str), max_size=p + 3)))
+    header = ",".join(f"i_{v + 1}" for v in range(p)) + ",count"
+    header = draw(st.sampled_from([header] * 4 + ["a,b", "count", ""]))
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(-2, 4), HUGE_INDEX, st.integers(2**63, 2**80), st.floats(), st.none(), st.text(max_size=3)
+)
+
+
+@st.composite
+def json_tables(draw):
+    """Table JSON: well-formed with some entries replaced, or any JSON value."""
+    levels = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    counts = draw(st.lists(st.integers(0, 50), min_size=int(np.prod(levels)), max_size=int(np.prod(levels))))
+    payload = {"levels": levels, "counts": counts}
+    for key in draw(st.lists(st.sampled_from(["levels", "counts"]), max_size=2)):
+        values = payload[key]
+        values[draw(st.integers(0, len(values) - 1))] = draw(JSON_SCALARS)
+    if draw(st.integers(0, 4)) == 0:
+        payload = draw(st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["levels", "counts", "x"]), inner, max_size=2)))
+    return payload
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestExitCodeContract:
+    """Malformed input exits 2 with an error line; it never ends in exit 1 or
+    an uncaught exception. Nothing is asserted about the numbers printed."""
+
+    SETTINGS = settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @staticmethod
+    def approx(tmp_path, table_text, suffix, prior="1"):
+        table = tmp_path / f"t{suffix}"
+        table.write_text(table_text)
+        argv = ["approx", "--table", str(table), f"--prior={prior}", "--out", str(tmp_path / "o.json")]
+        for parametrization in ("identity", "corner"):
+            assert main(argv + ["--parametrization", parametrization]) in (0, 2)
+
+    @SETTINGS
+    @given(text=csv_texts())
+    def test_table_csv(self, tmp_path, text):
+        self.approx(tmp_path, text, ".csv")
+
+    @SETTINGS
+    @given(payload=json_tables())
+    def test_table_json(self, tmp_path, payload):
+        self.approx(tmp_path, json.dumps(payload), ".json")
+
+    @SETTINGS
+    @given(spec=PRIOR_SPECS, file_values=st.lists(PRIOR_VALUES, min_size=3, max_size=5), as_file=st.booleans())
+    def test_prior(self, tmp_path, spec, file_values, as_file):
+        if as_file:
+            prior = tmp_path / "prior.txt"
+            prior.write_text(" ".join(map(repr, file_values)))
+            spec = str(prior)
+        self.approx(tmp_path, '{"levels": [2, 2], "counts": [3, 0, 1, 7]}', ".json", spec)
+
+    @SETTINGS
+    @given(lines=st.lists(st.one_of(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda e: f"{e[0]},{e[1]}"),
+        st.lists(st.sampled_from(["0", "1", "3", "-1", "x", "#", ",", " ", "\xff"]), max_size=4).map("".join),
+    ), max_size=4))
+    def test_reference(self, tmp_path, lines):
+        table = write_json_table(tmp_path / "t.json", [2, 2, 2], [9, 1, 2, 6, 3, 5, 4, 8])
+        reference = tmp_path / "ref.txt"
+        reference.write_bytes("\n".join(lines).encode("latin-1"))
+        argv = ["select", "--table", table, "--prior", "1", "--alpha", "0.1", "--marginals", "2",
+                "--reference", str(reference), "--out", str(tmp_path / "o.json")]
+        assert main(argv) in (0, 2)

@@ -1,19 +1,58 @@
 """Checks of the test oracles themselves against scipy's own distributions
 and against limits they must reach."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import oracles
 from oracles import (
     gumbel_normal_ks_limit,
     ks_distance,
     ks_logit_beta,
+    ld_logpdf,
     logit_beta_cdf,
     logit_beta_moments,
 )
+
+
+def test_oracles_import_nothing_from_dygauss():
+    """The oracles fix expected values for dygauss, so they must share no code with it."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "oracles.py must not use relative imports"
+            imported.append(node.module)
+    assert imported and not [name for name in imported if name.split(".")[0] == "dygauss"]
+
+
+class TestLdLogpdf:
+    """The log-ratio density against scipy's Dirichlet density at the logistic
+    image plus the log-Jacobian sum_l t_l - (d + 1) log(1 + sum_l e^{t_l})."""
+
+    @staticmethod
+    def reference(theta, beta):
+        probs = special.softmax(np.concatenate([[0.0], theta]))
+        jacobian = theta.sum() - (theta.size + 1) * math.log1p(float(np.exp(theta).sum()))
+        return float(stats.dirichlet.logpdf(probs, beta)) + jacobian
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_matches_scipy_dirichlet(self, d):
+        rng = np.random.default_rng(d)
+        beta = rng.uniform(0.3, 30.0, d + 1)
+        theta = rng.normal(0.0, 2.0, (20, d))
+        rows = [ld_logpdf(row, beta) for row in theta]
+        np.testing.assert_allclose(rows, [self.reference(row, beta) for row in theta], rtol=0, atol=1e-10)
+        batch = ld_logpdf(theta, beta)
+        assert batch.shape == (20,)
+        np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0.0)
 
 
 class TestLogitBetaCdf:

@@ -15,7 +15,6 @@ from dygauss.selection import (
     LassoPath,
     edge_confusion,
     lasso_path,
-    mahalanobis_delta,
     pcr_select,
 )
 from dygauss.specfun import chi2_quantile
@@ -175,19 +174,32 @@ class TestSweepLimit:
 
 
 class TestMahalanobisDelta:
+    """The distance pcr_select reports for its chosen model:
+    (theta_hat - theta_0)^T Sigma^{-1} (theta_hat - theta_0)."""
+
     def test_zero_at_estimate(self):
         theta = np.array([1.0, 2.0])
-        assert mahalanobis_delta(theta, theta, np.eye(2)) == 0.0
+        path = LassoPath(np.array([2.0, 1.0]), np.array([np.zeros(2), theta]), ((), (0, 1)))
+        result = pcr_select(path, theta, np.eye(2), alpha=0.5)
+        assert not result.fallback and result.support == (0, 1)
+        assert result.delta == 0.0
 
     def test_squared_norm_for_identity(self):
-        assert mahalanobis_delta(np.zeros(2), np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(25.0)
+        path = LassoPath(np.array([1.0]), np.zeros((1, 2)), ((),))
+        result = pcr_select(path, np.array([3.0, 4.0]), np.eye(2), alpha=1e-8)
+        assert not result.fallback
+        assert result.delta == pytest.approx(25.0)
 
     def test_cs_matches_dense(self):
         rng = np.random.default_rng(3)
         cs = CompoundSymmetryMatrix(rng.uniform(0.5, 4.0, 64), 1.1)
-        t0, th = rng.normal(size=64), rng.normal(size=64)
-        dense = mahalanobis_delta(t0, th, cs.to_dense())
-        assert mahalanobis_delta(t0, th, cs) == pytest.approx(dense, abs=1e-9)
+        diff = rng.normal(size=64) - rng.normal(size=64)
+        path = LassoPath(np.array([1.0]), np.zeros((1, 64)), ((),))
+        dense = pcr_select(path, diff, cs.to_dense(), alpha=1e-8)
+        structured = pcr_select(path, diff, cs, alpha=1e-8)
+        assert not dense.fallback and not structured.fallback
+        assert structured.delta == pytest.approx(dense.delta, abs=1e-9)
+        assert structured.delta == pytest.approx(float(diff @ cs.solve(diff)), abs=1e-9)
 
 
 class TestPcrSelect:
@@ -202,7 +214,7 @@ class TestPcrSelect:
         feasible_sizes = [
             len(s)
             for s, c in zip(path.supports, path.coefs)
-            if mahalanobis_delta(c, theta, np.eye(3)) <= delta_max
+            if (theta - c) @ (theta - c) <= delta_max
         ]
         assert min(feasible_sizes) == 1
 
@@ -235,7 +247,7 @@ class TestPcrSelect:
                 feasible = [
                     len(s)
                     for s, c in zip(path.supports, path.coefs)
-                    if mahalanobis_delta(c, theta, sigma) <= result.delta_max
+                    if (theta - c) @ np.linalg.solve(sigma, theta - c) <= result.delta_max
                 ]
                 assert len(result.support) == min(feasible)
 
@@ -269,6 +281,8 @@ class TestEdgeConfusion:
         got = edge_confusion([{(0, 1)}], [{(0, 1)}], universe)
         assert got == ConfusionCounts(tp=1, fp=0, tn=2, fn=0)
         assert got.f1 == 1.0 and got.fdr == 0.0
+        assert got.to_json_dict() == {"tp": 1, "fp": 0, "tn": 2, "fn": 0, "fdr": 0.0, "f1": 1.0}
+        assert list(got.to_json_dict()) == ["tp", "fp", "tn", "fn", "fdr", "f1"]
 
     def test_total_miss(self):
         universe = [{(0, 1), (0, 2)}]

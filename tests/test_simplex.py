@@ -1,19 +1,17 @@
+"""The simplex map behind the Laplace baseline (`baselines._softmax`, log
+ratios to cell probabilities) and the log-ratio density oracle
+(`oracles.ld_logpdf`) that the quadrature checks integrate."""
+
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
-from dygauss.simplex import (
-    SimplexPoint,
-    dirichlet_logpdf,
-    jacobian_logdet_inv,
-    ld_logpdf,
-    log_ratio,
-    logistic,
-)
+from dygauss.baselines import _softmax
 
-from oracles import gauss_legendre
+from oracles import gauss_legendre, ld_logpdf
 
 
 def theta_vectors(max_d=64, lo=-20.0, hi=20.0):
@@ -30,94 +28,120 @@ def theta_batches(max_n=16, max_d=8, lo=-40.0, hi=40.0):
     )
 
 
+def log_ratio(probs, p0):
+    return np.log(probs) - np.log(p0)
+
+
+def composed_logpdf(theta, beta):
+    """Dirichlet log density at the softmax image plus the log-Jacobian, the
+    sum of the logs of all d + 1 probabilities."""
+    probs, p0 = _softmax(theta)
+    full = np.concatenate([[p0], probs])
+    return float(stats.dirichlet.logpdf(full, beta)) + float(np.log(full).sum())
+
+
 class TestLogistic:
     def test_symmetric(self):
-        p = logistic(np.zeros(3))
-        np.testing.assert_allclose(p.probs, [0.25, 0.25, 0.25])
-        assert p.p0 == pytest.approx(0.25)
+        probs, p0 = _softmax(np.zeros(3))
+        np.testing.assert_allclose(probs, [0.25, 0.25, 0.25])
+        assert p0 == pytest.approx(0.25)
 
     def test_scalar(self):
-        p = logistic(np.array([math.log(2.0)]))
-        assert p.probs[0] == pytest.approx(2.0 / 3.0)
+        probs, _ = _softmax(np.array([math.log(2.0)]))
+        assert probs[0] == pytest.approx(2.0 / 3.0)
 
     def test_direct_evaluation(self):
-        t = np.array([1.0, -1.0])
         denom = 1.0 + math.e + math.exp(-1.0)
-        p = logistic(t)
-        np.testing.assert_allclose(p.probs, [math.e / denom, math.exp(-1.0) / denom], rtol=1e-14)
+        probs, _ = _softmax(np.array([1.0, -1.0]))
+        np.testing.assert_allclose(probs, [math.e / denom, math.exp(-1.0) / denom], rtol=1e-14)
 
     def test_large_entries_no_overflow(self):
-        p = logistic(np.array([600.0, 590.0]))
-        assert np.all(np.isfinite(p.probs)) and p.p0 > 0.0
-        back = log_ratio(p)
-        np.testing.assert_allclose(back, [600.0, 590.0], rtol=1e-12)
+        probs, p0 = _softmax(np.array([600.0, 590.0]))
+        assert np.all(np.isfinite(probs)) and p0 > 0.0
+        np.testing.assert_allclose(log_ratio(probs, p0), [600.0, 590.0], rtol=1e-12)
 
     def test_unrepresentable_extremes_rejected(self):
         # coordinates below the double-precision floor cannot be interior
-        with pytest.raises(ValueError):
-            logistic(np.array([-800.0, 0.0]))
+        with pytest.raises(ValueError, match="interior"):
+            _softmax(np.array([-800.0, 0.0]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            logistic(np.array([np.nan]))
+            _softmax(np.array([np.nan]))
 
 
 class TestLogRatio:
     def test_scalar(self):
-        assert log_ratio(np.array([0.5]))[0] == pytest.approx(0.0)
+        probs, p0 = _softmax(np.zeros(1))
+        assert log_ratio(probs, p0)[0] == pytest.approx(0.0)
 
     def test_uniform(self):
-        np.testing.assert_allclose(log_ratio(np.full(3, 0.25)), 0.0, atol=1e-14)
+        probs, p0 = _softmax(np.zeros(3))
+        np.testing.assert_allclose(log_ratio(probs, p0), 0.0, atol=1e-14)
 
     def test_known(self):
-        t = log_ratio(np.array([0.5, 0.25]))
-        np.testing.assert_allclose(t, [math.log(2.0), 0.0], atol=1e-14)
+        probs, p0 = _softmax(np.array([math.log(2.0), 0.0]))
+        np.testing.assert_allclose(probs, [0.5, 0.25], rtol=1e-15)
+        assert p0 == pytest.approx(0.25, rel=1e-15)
 
     def test_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            SimplexPoint(np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            SimplexPoint(np.array([0.5, 0.5]))
+        # the baseline probability underflows as well as a free one
+        with pytest.raises(ValueError, match="interior"):
+            _softmax(np.array([800.0, 0.0]))
+        with pytest.raises(ValueError, match="interior"):
+            _softmax(np.array([0.0, -np.inf]))
 
     @settings(max_examples=250, deadline=None)
     @given(theta_vectors())
     def test_roundtrip(self, t):
         theta = np.asarray(t)
-        back = log_ratio(logistic(theta))
-        np.testing.assert_allclose(back, theta, atol=1e-11, rtol=1e-11)
+        np.testing.assert_allclose(log_ratio(*_softmax(theta)), theta, atol=1e-11, rtol=1e-11)
 
 
 class TestJacobian:
+    """Under the flat Dirichlet(1, ..., 1), of density d!, the log-ratio
+    density is log d! plus the log-Jacobian sum_l t_l - (d + 1) log(1 + sum e^{t_l})."""
+
     def test_scalar_zero(self):
-        assert jacobian_logdet_inv(np.zeros(1)) == pytest.approx(math.log(0.25))
+        assert ld_logpdf(np.zeros(1), np.ones(2)) == pytest.approx(math.log(0.25))
 
     def test_uniform(self):
-        assert jacobian_logdet_inv(np.zeros(3)) == pytest.approx(4.0 * math.log(0.25))
+        expected = math.log(6.0) + 4.0 * math.log(0.25)
+        assert ld_logpdf(np.zeros(3), np.ones(4)) == pytest.approx(expected)
 
     def test_matches_probability_sum(self):
         theta = np.array([1.0, -1.0])
-        p = logistic(theta)
-        expected = math.log(p.p0) + float(np.log(p.probs).sum())
-        assert jacobian_logdet_inv(theta) == pytest.approx(expected, abs=1e-12)
+        probs, p0 = _softmax(theta)
+        expected = math.log(2.0) + math.log(p0) + float(np.log(probs).sum())
+        assert ld_logpdf(theta, np.ones(3)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestDirichletLogpdf:
+    """Hand-evaluated Dirichlet densities, read through the change of
+    variables: log-ratio density = Dirichlet density + sum of log probabilities."""
+
+    @staticmethod
+    def dirichlet_part(probs, beta):
+        probs = np.asarray(probs)
+        full = np.concatenate([[1.0 - probs.sum()], probs])
+        return ld_logpdf(np.log(probs / full[0]), beta) - float(np.log(full).sum())
+
     def test_uniform_on_unit_interval(self):
-        assert dirichlet_logpdf(np.array([0.3]), np.array([1.0, 1.0])) == pytest.approx(0.0)
+        assert self.dirichlet_part([0.3], np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_beta(self):
-        value = dirichlet_logpdf(np.array([0.5]), np.array([2.0, 2.0]))
+        value = self.dirichlet_part([0.5], np.array([2.0, 2.0]))
         assert value == pytest.approx(math.log(1.5), abs=1e-12)
 
     def test_hand_evaluated(self):
-        value = dirichlet_logpdf(np.array([0.2, 0.3]), np.array([2.0, 1.0, 1.0]))
+        value = self.dirichlet_part([0.2, 0.3], np.array([2.0, 1.0, 1.0]))
         assert value == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            dirichlet_logpdf(np.array([0.2, 0.3]), np.array([2.0, -1.0, 1.0]))
+            ld_logpdf(np.zeros(2), np.array([2.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
-            dirichlet_logpdf(np.array([0.2]), np.array([1.0, 1.0, 1.0]))
+            ld_logpdf(np.zeros(1), np.array([1.0, 1.0, 1.0]))
 
 
 class TestLdLogpdf:
@@ -131,10 +155,8 @@ class TestLdLogpdf:
 
     def test_change_of_variable_composition(self):
         beta = np.array([2.0, 1.0, 1.0])
-        theta = log_ratio(np.array([0.2, 0.3]))
-        direct = ld_logpdf(theta, beta)
-        composed = dirichlet_logpdf(logistic(theta), beta) + jacobian_logdet_inv(theta)
-        assert direct == pytest.approx(composed, abs=1e-10)
+        theta = np.log(np.array([0.2, 0.3]) / 0.5)
+        assert ld_logpdf(theta, beta) == pytest.approx(composed_logpdf(theta, beta), abs=1e-10)
 
     @settings(max_examples=150, deadline=None)
     @given(theta_vectors(max_d=8, lo=-8.0, hi=8.0), st.floats(0.5, 5.0), st.floats(0.5, 5.0))
@@ -142,9 +164,7 @@ class TestLdLogpdf:
         theta = np.asarray(t)
         rng = np.random.default_rng(abs(hash((tuple(t), b_low, b_high))) % 2**32)
         beta = rng.uniform(min(b_low, b_high), max(b_low, b_high) + 0.1, theta.size + 1)
-        direct = ld_logpdf(theta, beta)
-        composed = dirichlet_logpdf(logistic(theta), beta) + jacobian_logdet_inv(theta)
-        assert direct == pytest.approx(composed, abs=1e-10)
+        assert ld_logpdf(theta, beta) == pytest.approx(composed_logpdf(theta, beta), abs=1e-10)
 
     @settings(max_examples=150, deadline=None)
     @given(theta_batches(), st.integers(0, 2**32 - 1))
@@ -154,9 +174,6 @@ class TestLdLogpdf:
         assert batch.shape == (theta.shape[0],)
         rows = np.array([ld_logpdf(row, beta) for row in theta])
         np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0.0)
-        for single_point_only in (logistic, jacobian_logdet_inv):
-            with pytest.raises(ValueError):
-                single_point_only(theta)
         with pytest.raises(ValueError):
             ld_logpdf(theta[None], beta)
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dygauss.parametrization import ContingencyTable, TableSchema
 from oracles import load_table_csv_rows
 from dygauss.tableio import (
+    MAX_CSV_CELLS,
     InputError,
     load_prior,
     load_reference_graph,
@@ -55,6 +56,22 @@ class TestCsvRoundtrip:
         path = tmp_path / "t.csv"
         path.write_text("i_1,count\n")
         with pytest.raises(InputError):
+            load_table_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, levels",
+        [
+            ("i_1,i_2,count\n0,0,1\n1000000,1000000,5\n", r"\(1000001, 1000001\)"),
+            (",".join(f"i_{v + 1}" for v in range(25)) + ",count\n" + "1," * 25 + "3\n", r"\(2, 2, .*2\)"),
+        ],
+        ids=["large-level-index", "many-variables"],
+    )
+    def test_too_many_cells_rejected_before_allocation(self, tmp_path, text, levels):
+        """The inferred cell count is checked against MAX_CSV_CELLS before the
+        count vector is allocated (10^12 cells would be a 7.3 TiB np.zeros)."""
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=rf"inferred levels {levels} give \d+ cells, more than the {MAX_CSV_CELLS}"):
             load_table_csv(path)
 
 
