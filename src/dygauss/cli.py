@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .selection import (
     pcr_select,
 )
 from .simulate import SimulationConfig, run_compare
-from .tableio import InputError, load_prior, load_reference_graph, load_table, worker_count
+from .tableio import InputError, load_prior, load_reference_graph, load_table, map_jobs
 
 __all__ = ["main"]
 
@@ -156,17 +155,12 @@ def _cmd_select(args) -> int:
         if args.reference:
             reference = load_reference_graph(args.reference, p)
         subsets = list(combinations(range(p), k))
-        workers = worker_count(len(subsets))
 
         def job(keep):
             prior = _marginal_prior(args.prior, table, keep)
             return _select_one(marginalize(table, keep), prior, args)
 
-        if workers == 1:
-            outputs = [job(keep) for keep in subsets]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outputs = list(pool.map(job, subsets))
+        outputs = map_jobs(job, subsets)
 
         tables = []
         selected_edges, reference_edges, universes = [], [], []

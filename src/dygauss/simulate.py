@@ -4,11 +4,13 @@ approximation against Monte Carlo and Laplace baselines.
 Per replicate: draw a probability vector from a symmetric Dirichlet prior,
 draw multinomial counts, form the conjugate posterior, compute each
 approximation in the requested parametrizations, and score the four metrics.
-Replicates fan out across a thread pool (capped by DYGAUSS_THREADS); each
-replicate owns its PCG64 stream and results merge in replicate order, so
-outputs are byte-identical for a fixed config and seed regardless of
-scheduling. Wall-clock timings are inherently non-reproducible and go to a
-separate file that is excluded from the determinism contract.
+The replicates of each (prior, sample size) condition fan out across
+``tableio.map_jobs`` (a thread pool capped by DYGAUSS_THREADS, with BLAS on
+one thread). Each replicate owns its PCG64 stream and results merge in
+replicate order, so the metric CSVs are byte-identical for a fixed config
+and seed under any DYGAUSS_THREADS, core count and OpenBLAS thread setting.
+Wall-clock timings are inherently non-reproducible and go to a separate file
+that is excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .metrics import (
 )
 from .parametrization import DesignMatrix, TableSchema, corner_design, to_theta_star
 from .posterior import DirichletParams, optimal_gaussian, transform_gaussian
-from .tableio import InputError, worker_count
+from .tableio import InputError, map_jobs
 
 __all__ = [
     "SimulationConfig",
@@ -252,7 +253,6 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
 
 def run_compare(config: SimulationConfig, out_dir=None) -> list[MetricReport]:
     """Run the full study and write per-prior metric and timing CSVs."""
-    workers = worker_count(config.replicates)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     needs_corner = "corner" in config.parametrizations
@@ -264,11 +264,7 @@ def run_compare(config: SimulationConfig, out_dir=None) -> list[MetricReport]:
         for n_idx, n in enumerate(config.sample_sizes):
             cond_seed = derive_seed(config.seed, a_idx, n_idx)
             cond = _Condition(a, n, cond_seed, config, design)
-            if workers == 1:
-                results = [_replicate_rows(cond, r) for r in range(config.replicates)]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(lambda r: _replicate_rows(cond, r), range(config.replicates)))
+            results = map_jobs(lambda r: _replicate_rows(cond, r), range(config.replicates))
             for rows in results:  # merged in replicate order: deterministic
                 per_prior.extend(rows)
         _write_csvs(out, a, per_prior)

@@ -1,5 +1,6 @@
 """File formats: contingency tables (CSV and JSON), prior vectors and
-reference graphs, plus the worker-pool size read from DYGAUSS_THREADS.
+reference graphs, plus the worker pool: its size read from DYGAUSS_THREADS
+and ``map_jobs``, which runs independent jobs on it.
 
 Table CSV: header ``i_1,...,i_p,count``, one row per cell with 0-based level
 indices, any row order, missing cells read as 0, duplicate cells rejected.
@@ -20,18 +21,31 @@ product of every index range in memory.
 Table JSON: ``{"levels": [d_1, ..., d_p], "counts": [...]}`` with counts in
 canonical cell order (last variable fastest).
 
+Prior: a scalar or a file of one value per cell, every value in
+[``MIN_PRIOR``, ``MAX_PRIOR``] = [1e-100, 1e100]. Outside that range the
+special functions under- or overflow.
+
 Reference graph: text lines ``u,v`` or ``u v`` of 0-based variable indices;
 blank lines and ``#`` comments ignored.
+
+Worker pool: ``map_jobs`` runs BLAS on one thread while its jobs run, on the
+serial path too. The pool is then the only parallelism, and a BLAS result
+does not depend on how many threads OpenBLAS would otherwise split it over,
+so outputs are the same for any pool size, core count and OpenBLAS setting.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +62,7 @@ __all__ = [
     "load_prior",
     "load_reference_graph",
     "worker_count",
+    "map_jobs",
 ]
 
 
@@ -175,25 +190,33 @@ def save_table_json(table: ContingencyTable, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+MIN_PRIOR, MAX_PRIOR = 1e-100, 1e100
+
+
 def load_prior(spec: str, n_cells: int) -> np.ndarray:
-    """Prior concentration: either a positive scalar replicated over cells,
-    or a file of n_cells positive numbers in canonical order."""
+    """Prior concentration: either a scalar replicated over cells, or a file
+    of n_cells numbers in canonical order; each in [MIN_PRIOR, MAX_PRIOR]."""
     try:
         a = float(spec)
     except ValueError:
         a = None
     if a is not None:
-        if not a > 0:
-            raise InputError(f"prior concentration must be positive, got {a}")
+        if not MIN_PRIOR <= a <= MAX_PRIOR:
+            raise InputError(f"--prior must lie in [{MIN_PRIOR:g}, {MAX_PRIOR:g}], got {a!r}")
         return np.full(n_cells, a)
     try:
         values = np.array([float(v) for v in Path(spec).read_text().split()])
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read prior vector from {spec}: {exc}") from exc
+        raise InputError(f"cannot read --prior vector from {spec}: {exc}") from exc
     if values.size != n_cells:
-        raise InputError(f"prior vector needs {n_cells} entries, got {values.size}")
-    if np.any(values <= 0):
-        raise InputError("prior vector entries must be positive")
+        raise InputError(f"--prior vector needs {n_cells} entries, got {values.size}")
+    outside = ~((values >= MIN_PRIOR) & (values <= MAX_PRIOR))
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise InputError(
+            f"--prior vector entries must lie in [{MIN_PRIOR:g}, {MAX_PRIOR:g}], "
+            f"entry {j} is {values[j]!r}"
+        )
     return values
 
 
@@ -231,3 +254,70 @@ def worker_count(jobs: int) -> int:
         raise InputError(f"DYGAUSS_THREADS must be a positive integer, got {raw!r}")
     return max(1, min(int(raw), cores, jobs))
 
+
+_OPENBLAS_THREAD_CALLS = (  # (get, set) symbol pairs, newest builds first
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count calls of the OpenBLAS numpy ships with, or
+    None when numpy uses another BLAS (MKL, Accelerate). Looked up on first
+    use, so importing the package loads no library."""
+    import ctypes
+    import glob
+
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # map_jobs calls in progress, over all threads
+_pin_saved = 0  # the BLAS thread count before the outermost one began
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS on one thread for the body; the count before is restored when
+    the last of any overlapping bodies ends, also on an exception."""
+    global _pin_depth, _pin_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
+def map_jobs(fn, jobs) -> list:
+    """[fn(job) for job in jobs] on a pool of worker_count(len(jobs))
+    threads, in job order, with BLAS on one thread throughout."""
+    jobs = list(jobs)
+    workers = worker_count(len(jobs))
+    with _one_blas_thread():
+        if workers == 1:
+            return [fn(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))

@@ -4,7 +4,10 @@ the implementation under test.
 """
 
 import csv
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -211,3 +214,19 @@ def load_table_csv_rows(path) -> tuple[tuple[int, ...], np.ndarray]:
     for cell, count in seen.items():
         counts[int(np.dot(cell, strides))] = count
     return levels, counts
+
+
+def openblas_thread_calls():
+    """(get, set) thread-count calls of the OpenBLAS that numpy ships with,
+    looked up here apart from dygauss.tableio, or None when there is none."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                return get, set_
+    return None

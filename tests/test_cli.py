@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,31 @@ class TestApproxCommand:
     def test_nonpositive_prior_exit_2(self, tmp_path):
         table = write_json_table(tmp_path / "t.json", [2], [3, 1])
         assert main(["approx", "--table", table, "--prior", "-2"]) == 2
+
+    @pytest.mark.parametrize("parametrization", ["identity", "corner"])
+    @pytest.mark.parametrize("prior", ["1e308", "1e-300", "1e200"])
+    def test_prior_outside_range_exit_2_without_warnings(self, tmp_path, capsys, prior, parametrization):
+        table = write_json_table(tmp_path / "t.json", [2, 2], [3, 0, 1, 7])
+        argv = ["approx", "--table", table, "--prior", prior, "--parametrization", parametrization]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "prior" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("parametrization", ["identity", "corner"])
+    @pytest.mark.parametrize("prior", ["1e-100", "1e100"])
+    @pytest.mark.parametrize("p", [2, 16])
+    def test_prior_range_ends_run_warning_free(self, tmp_path, p, prior, parametrization):
+        counts = [3, 0, 1, 7] if p == 2 else (np.arange(2**p) % 5).tolist()
+        table = write_json_table(tmp_path / "t.json", [2] * p, counts)
+        argv = ["approx", "--table", table, "--prior", prior, "--parametrization", parametrization,
+                "--out", str(tmp_path / "o.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
 
 
 class TestCompareCommand:

@@ -141,6 +141,22 @@ class TestRunCompare:
         name = "metrics_a1p0.csv"
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
 
+    def test_blas_thread_count_does_not_change_the_metrics(self, tmp_path, openblas):
+        """The p = 8 study's np.cov gemm and Frobenius-norm ddot round
+        differently on two OpenBLAS threads than on one; the pool runs BLAS
+        on one thread, so the CSV bytes do not depend on the setting."""
+        get, set_ = openblas
+        config = SimulationConfig(
+            levels=(2,) * 8, sample_sizes=(250,), mc_sizes=(2000,), replicates=2, seed=301,
+            timing_repeats=1,
+        )
+        for threads in (2, 1):
+            set_(threads)
+            run_compare(config, out_dir=tmp_path / f"blas{threads}")
+            assert get() == threads
+        name = "metrics_a1p0.csv"
+        assert (tmp_path / "blas2" / name).read_bytes() == (tmp_path / "blas1" / name).read_bytes()
+
 
 class TestSimulationConfig:
     def test_from_json_with_p(self, tmp_path):

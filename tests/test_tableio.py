@@ -1,14 +1,20 @@
 import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dygauss.parametrization import ContingencyTable, TableSchema
+from dygauss import tableio
 from oracles import load_table_csv_rows
 from dygauss.tableio import (
     MAX_CSV_CELLS,
     InputError,
+    map_jobs,
     load_prior,
     load_reference_graph,
     load_table,
@@ -191,6 +197,22 @@ class TestPrior:
         with pytest.raises(InputError):
             load_prior(str(path), 4)
 
+    @pytest.mark.parametrize("spec", ["1e-100", "1e100"])
+    def test_range_ends_accepted(self, spec):
+        np.testing.assert_array_equal(load_prior(spec, 3), np.full(3, float(spec)))
+
+    @pytest.mark.parametrize("spec", ["9.9e-101", "1.01e100", "1e200", "1e308", "1e-300", "inf", "nan"])
+    def test_scalar_outside_range(self, spec):
+        with pytest.raises(InputError, match="--prior"):
+            load_prior(spec, 4)
+
+    @pytest.mark.parametrize("bad", ["1e200", "1e-300", "inf", "nan", "0"])
+    def test_vector_entry_outside_range(self, tmp_path, bad):
+        path = tmp_path / "prior.txt"
+        path.write_text(f"1 1e100 {bad} 1e-100\n")
+        with pytest.raises(InputError, match="--prior.*entry 2"):
+            load_prior(str(path), 4)
+
 
 class TestReferenceGraph:
     def test_parse(self, tmp_path):
@@ -231,3 +253,97 @@ class TestWorkerCount:
         monkeypatch.setenv("DYGAUSS_THREADS", raw)
         with pytest.raises(InputError, match="DYGAUSS_THREADS"):
             worker_count(4)
+
+
+class TestMapJobs:
+    @pytest.mark.parametrize("raw", ["1", "4"])
+    def test_results_in_job_order_without_openblas(self, monkeypatch, raw):
+        monkeypatch.setattr(tableio, "_openblas", lambda: None)
+        monkeypatch.setenv("DYGAUSS_THREADS", raw)
+
+        def job(k):
+            time.sleep(0.002 * (8 - k))  # later jobs finish first
+            return k * k
+
+        assert map_jobs(job, range(8)) == [k * k for k in range(8)]
+        assert map_jobs(job, []) == []
+
+    @pytest.mark.parametrize("raw", ["1", "2", "1000000"])
+    def test_pool_size_follows_worker_count(self, monkeypatch, raw):
+        monkeypatch.setenv("DYGAUSS_THREADS", raw)
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(tableio, "ThreadPoolExecutor", RecordingPool)
+        threads = set(map_jobs(lambda _: threading.get_ident(), range(6)))
+        workers = worker_count(6)
+        if workers == 1:
+            assert sizes == [] and threads == {threading.get_ident()}
+        else:
+            assert sizes == [workers] and len(threads) <= workers
+
+    @pytest.mark.parametrize("raw", ["1", "2"])
+    def test_blas_on_one_thread_during_jobs_and_restored(self, openblas, monkeypatch, raw):
+        get, _ = openblas
+        monkeypatch.setenv("DYGAUSS_THREADS", raw)
+        assert map_jobs(lambda _: get(), range(4)) == [1] * 4
+        assert get() == 2
+
+    @pytest.mark.parametrize("raw", ["1", "2"])
+    def test_blas_restored_when_a_job_raises(self, openblas, monkeypatch, raw):
+        get, _ = openblas
+        monkeypatch.setenv("DYGAUSS_THREADS", raw)
+
+        def job(k):
+            if k == 2:
+                raise ValueError("job 2 failed")
+            return get()
+
+        with pytest.raises(ValueError, match="job 2 failed"):
+            map_jobs(job, range(4))
+        assert get() == 2
+
+    def test_overlapping_calls_restore_after_the_last(self, openblas, monkeypatch):
+        """A call that ends while another runs leaves BLAS on one thread."""
+        get, _ = openblas
+        monkeypatch.setenv("DYGAUSS_THREADS", "1")
+        both_inside = threading.Barrier(2)
+        first_done = threading.Event()
+
+        def first(_):
+            both_inside.wait(timeout=10)
+            return get()
+
+        def second(_):
+            both_inside.wait(timeout=10)
+            first_done.wait(timeout=10)
+            return get()
+
+        def client(fn):
+            out = map_jobs(fn, [0])
+            if fn is first:
+                first_done.set()
+            return out
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            outputs = list(pool.map(client, (first, second)))
+        assert outputs == [[1], [1]]
+        assert get() == 2
+
+    def test_many_overlapping_calls_keep_one_thread_and_restore(self, openblas, monkeypatch):
+        get, _ = openblas
+        monkeypatch.setenv("DYGAUSS_THREADS", "2")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                calls = pool.map(lambda _: map_jobs(lambda _: get(), range(4)), range(200), timeout=60)
+                counts = list(calls)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [[1] * 4] * 200
+        assert get() == 2
