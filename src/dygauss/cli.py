@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -43,7 +42,15 @@ from .selection import (
     pcr_select,
 )
 from .simulate import SimulationConfig, run_compare
-from .tableio import InputError, load_prior, load_reference_graph, load_table, map_jobs
+from .tableio import (
+    CellLabels,
+    InputError,
+    load_prior,
+    load_reference_graph,
+    load_table,
+    map_jobs,
+    write_json,
+)
 
 __all__ = ["main"]
 
@@ -66,23 +73,22 @@ def _cmd_approx(args) -> int:
         design = identity_design(table.schema)
     bound = kl_bound(beta)
     payload = gauss.to_json_dict()
-    payload["labels"] = design.labels.tolist()
+    payload["labels"] = CellLabels(design.schema)
     payload["exact_min_kl"] = exact_min_kl(beta)
     payload["kl_bound"] = {"value": bound.value, "valid": bound.valid}
     payload["level"] = CREDIBLE_LEVEL
-    payload["intervals"] = gaussian_intervals(gauss.mean, gauss.variances()).tolist()
+    payload["intervals"] = gaussian_intervals(gauss.mean, gauss.variances())
     _write_json(payload, args.out)
     return 0
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    """One line of compact JSON (the C encoder) to `out`, or to stdout."""
-    text = json.dumps(payload)
+    """One line of JSON to `out`, or to stdout."""
     if out:
         with open(out, "w") as handle:
-            print(text, file=handle)
+            write_json(payload, handle)
     else:
-        print(text)
+        write_json(payload, sys.stdout)
 
 
 def _cmd_compare(args) -> int:
@@ -146,7 +152,7 @@ def _cmd_select(args) -> int:
     if args.marginals is None:
         result, labels = _select_one(table, args.prior, args)
         payload.update(result.to_json_dict(labels))
-        payload["labels"] = labels.tolist()
+        payload["labels"] = CellLabels(table.schema)
     else:
         k = args.marginals
         if k < 1 or k > p:

@@ -100,12 +100,29 @@ def gaussian_intervals(mean, variances) -> np.ndarray:
 
 def empirical_intervals(draws) -> np.ndarray:
     """Columnwise empirical central intervals from a sample matrix, one
-    (lo, hi) row per coordinate."""
+    (lo, hi) row per coordinate.
+
+    Equal to ``np.percentile(draws, [tail, 100 - tail], axis=0).T`` for
+    finite draws, with one sort in place of percentile's partition: the
+    same virtual index (n - 1) q and the same interpolation as numpy's
+    "linear" method (from the upper neighbour when the weight is >= 1/2).
+    """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be an (mc x d) matrix")
     tail = 100.0 * 0.5 * (1.0 - CREDIBLE_LEVEL)
-    return np.percentile(draws, [tail, 100.0 - tail], axis=0).T
+    q = np.true_divide([tail, 100.0 - tail], 100)
+    n = draws.shape[0]
+    ordered = np.sort(draws, axis=0)
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    gamma = (virtual - below)[:, None]
+    below = below.astype(np.intp)
+    lo, hi = ordered[below], ordered[np.minimum(below + 1, n - 1)]
+    diff = hi - lo
+    out = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out.T
 
 
 def frobenius_loss(sigma_hat, sigma) -> float:

@@ -117,7 +117,7 @@ class CompoundSymmetryMatrix:
         return float(np.log(self.diag).sum()) + math.log1p(self.common * s)
 
     def to_json_dict(self) -> dict:
-        return {"type": "cs", "diag": self.diag.tolist(), "common": self.common}
+        return {"type": "cs", "diag": self.diag, "common": self.common}
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,10 @@ class GaussianApprox:
         return self.cov.full_diagonal()
 
     def to_json_dict(self) -> dict:
+        """Payload for `tableio.write_json`; the vectors stay ndarrays."""
         return {
             "parametrization": self.parametrization,
-            "mean": self.mean.tolist(),
+            "mean": self.mean,
             "cov": self.cov.to_json_dict(),
         }
 

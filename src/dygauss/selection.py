@@ -89,7 +89,7 @@ class SelectionResult:
 
     def to_json_dict(self, labels=None) -> dict:
         payload = {
-            "coefficients": np.asarray(self.chosen).tolist(),
+            "coefficients": np.asarray(self.chosen),
             "support": list(self.support),
             "delta": self.delta,
             "delta_max": self.delta_max,

@@ -4,11 +4,15 @@ approximation against Monte Carlo and Laplace baselines.
 Per replicate: draw a probability vector from a symmetric Dirichlet prior,
 draw multinomial counts, form the conjugate posterior, compute each
 approximation in the requested parametrizations, and score the four metrics.
-The replicates of each (prior, sample size) condition fan out across
-``tableio.map_jobs`` (a thread pool capped by DYGAUSS_THREADS, with BLAS on
-one thread). Each replicate owns its PCG64 stream and results merge in
-replicate order, so the metric CSVs are byte-identical for a fixed config
+The replicates of each (prior, sample size) condition fan out across one
+``tableio.map_jobs`` call (a thread pool capped by DYGAUSS_THREADS, with
+BLAS on one thread). Each replicate owns its PCG64 stream and results merge
+in replicate order, so the metric CSVs are byte-identical for a fixed config
 and seed under any DYGAUSS_THREADS, core count and OpenBLAS thread setting.
+One pool per condition, not per prior: with one pool over all sample sizes,
+a worker starts its next replicate while the other is mid-replicate, and on
+2 cores the study's peak RSS rose by about 9% (allocator retention; the
+live peak under tracemalloc did not change).
 Wall-clock timings are inherently non-reproducible and go to a separate file
 that is excluded from the determinism contract.
 """
@@ -35,7 +39,7 @@ from .metrics import (
 )
 from .parametrization import DesignMatrix, TableSchema, corner_design, to_theta_star
 from .posterior import DirichletParams, optimal_gaussian, transform_gaussian
-from .tableio import InputError, map_jobs
+from .tableio import MAX_PRIOR, MIN_PRIOR, InputError, map_jobs
 
 __all__ = [
     "SimulationConfig",
@@ -71,8 +75,11 @@ class SimulationConfig:
             raise InputError(f"the study holds at most {MAX_STUDY_CELLS} cells, levels {self.levels} have more")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise InputError("sample sizes must be positive")
-        if not self.prior_a or any(a <= 0 for a in self.prior_a):
-            raise InputError("prior concentrations must be positive")
+        if not self.prior_a:
+            raise InputError("config needs at least one prior concentration 'a'")
+        for a in self.prior_a:
+            if not MIN_PRIOR <= a <= MAX_PRIOR:
+                raise InputError(f"prior concentration a must lie in [{MIN_PRIOR:g}, {MAX_PRIOR:g}], got {a!r}")
         if any(m < 1 for m in self.mc_sizes):
             raise InputError("mc sizes must be positive")
         if self.replicates < 1:

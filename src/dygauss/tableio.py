@@ -1,6 +1,7 @@
-"""File formats: contingency tables (CSV and JSON), prior vectors and
-reference graphs, plus the worker pool: its size read from DYGAUSS_THREADS
-and ``map_jobs``, which runs independent jobs on it.
+"""File formats: contingency tables (CSV and JSON), prior vectors,
+reference graphs and the JSON that ``approx`` and ``select`` write, plus the
+worker pool: its size read from DYGAUSS_THREADS and ``map_jobs``, which runs
+independent jobs on it.
 
 Table CSV: header ``i_1,...,i_p,count``, one row per cell with 0-based level
 indices, any row order, missing cells read as 0, duplicate cells rejected.
@@ -28,6 +29,16 @@ special functions under- or overflow.
 Reference graph: text lines ``u,v`` or ``u v`` of 0-based variable indices;
 blank lines and ``#`` comments ignored.
 
+Output JSON: ``write_json`` writes one line with ``json.dumps``'s default
+separators, the same bytes as ``json.dumps`` of the payload with every
+array as its nested list. Float arrays are formatted without a list of
+Python floats: when most values repeat (the identity moments of integer
+counts are functions of each count alone), each distinct value, told apart
+by bit pattern so that ``-0.0`` stays ``-0.0``, is formatted once and its
+text reused. A ``CellLabels`` value is written from the schema's levels as
+digit strings, with no per-cell list. Everything else is ``json.dumps``'s
+own text, and the pieces go to the handle in order.
+
 Worker pool: ``map_jobs`` runs BLAS on one thread while its jobs run, on the
 serial path too. The pool is then the only parallelism, and a BLAS result
 does not depend on how many threads OpenBLAS would otherwise split it over,
@@ -46,6 +57,8 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +74,8 @@ __all__ = [
     "save_table_json",
     "load_prior",
     "load_reference_graph",
+    "CellLabels",
+    "write_json",
     "worker_count",
     "map_jobs",
 ]
@@ -241,6 +256,105 @@ def load_reference_graph(path, n_vars: int) -> set[tuple[int, int]]:
             raise InputError(f"{path}:{lineno}: edge ({u}, {v}) out of range for {n_vars} variables")
         edges.add((min(u, v), max(u, v)))
     return edges
+
+
+@dataclass(frozen=True)
+class CellLabels:
+    """A ``write_json`` value: the level indices of every cell of `schema`
+    but the baseline, in canonical order, as a list of lists; the text of
+    ``canonical_cell_order(schema)[1:].tolist()``."""
+
+    schema: TableSchema
+
+
+_SLOT = "\x00"  # stands in for an array in the text json.dumps writes
+
+
+def write_json(payload, handle) -> None:
+    """Write `payload` to the text `handle` as one line of JSON: the bytes of
+    ``print(json.dumps(payload), file=handle)`` with each ndarray as its
+    ``tolist()`` and each CellLabels as its list of cells.
+
+    ``json.dumps`` writes the payload with every array replaced by a slot
+    string; the array texts are written in the slots' places."""
+    arrays = []
+
+    def skeleton(value):
+        if isinstance(value, dict):
+            return {key: skeleton(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [skeleton(item) for item in value]
+        if isinstance(value, (np.ndarray, CellLabels)):
+            arrays.append(value)
+            return _SLOT
+        return value
+
+    texts = json.dumps(skeleton(payload)).split(json.dumps(_SLOT))
+    if len(texts) != len(arrays) + 1:
+        raise ValueError("a payload string contains the array slot text")
+    handle.write(texts[0])
+    for value, text in zip(arrays, texts[1:]):
+        if isinstance(value, CellLabels):
+            handle.writelines(_label_pieces(value.schema.levels))
+        else:
+            handle.write(_float_array_json(value))
+        handle.write(text)
+    handle.write("\n")
+
+
+_DEDUP_SAMPLE = 4096  # values looked at to decide whether most repeat
+
+
+def _float_array_json(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` for a 1-d or (n, k) array. When fewer
+    than half of a sample of the float64 values are distinct, each column's
+    distinct values are formatted once; otherwise the C encoder formats
+    every value."""
+    flat = values.reshape(-1)
+    sample = flat[:: max(1, flat.size // _DEDUP_SAMPLE)]
+    if (
+        values.dtype != np.float64
+        or values.ndim not in (1, 2)
+        or 2 * np.unique(sample.view(np.int64)).size >= sample.size
+    ):
+        return json.dumps(values.tolist())
+    if values.ndim == 1:
+        return "[" + ", ".join(_column_texts(values)) + "]"
+    rows = zip(*(_column_texts(column) for column in values.T))
+    return "[[" + "], [".join(map(", ".join, rows)) + "]]"
+
+
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each value of a float64 vector, each distinct bit
+    pattern formatted once by the C encoder."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+_LABEL_TAIL_CELLS = 1024  # cells per block of label text
+
+
+def _label_pieces(levels: tuple[int, ...]):
+    """The text of CellLabels(TableSchema(levels)) in blocks. The tail is
+    the last variable and as many before it as it takes to span
+    _LABEL_TAIL_CELLS cells (or all of them); each block is every tail cell
+    after one prefix of head levels, written with one join. The first block
+    drops the baseline cell."""
+    split, tail_cells = len(levels) - 1, levels[-1]
+    while split > 0 and tail_cells < _LABEL_TAIL_CELLS:
+        split -= 1
+        tail_cells *= levels[split]
+
+    def cell_texts(part):
+        return [", ".join(cell) for cell in product(*(map(str, range(n)) for n in part))]
+
+    tail = cell_texts(levels[split:])
+    for i, prefix in enumerate(cell_texts(levels[:split])):
+        lead = prefix + ", " if prefix else ""
+        cells = tail[1:] if i == 0 else tail
+        yield ("[[" if i == 0 else ", [") + lead + ("], [" + lead).join(cells) + "]"
+    yield "]"
 
 
 def worker_count(jobs: int) -> int:

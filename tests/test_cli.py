@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 
@@ -5,8 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dygauss import tableio
 from dygauss.cli import main
-from dygauss.parametrization import TableSchema, canonical_cell_order
+from dygauss.metrics import CREDIBLE_LEVEL, gaussian_intervals
+from dygauss.parametrization import TableSchema, canonical_cell_order, corner_design
+from dygauss.posterior import DirichletParams, exact_min_kl, kl_bound, optimal_gaussian, transform_gaussian
+from dygauss.selection import lasso_path, pcr_select
 from dygauss.specfun import digamma, trigamma
 
 
@@ -134,6 +139,109 @@ class TestApproxCommand:
             assert main(argv) == 0
 
 
+def listed(value):
+    """`value` with every ndarray as its nested list, as JSON payloads were
+    built before the array writer."""
+    if isinstance(value, dict):
+        return {key: listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [listed(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def list_approx_text(levels, counts, prior, parametrization):
+    """The approx output as json.dumps of a payload of Python lists."""
+    schema = TableSchema(levels)
+    beta = DirichletParams(np.full(schema.n_cells, prior) + np.asarray(counts))
+    gauss = optimal_gaussian(beta)
+    if parametrization == "corner":
+        gauss = transform_gaussian(gauss, corner_design(schema))
+    bound = kl_bound(beta)
+    payload = listed(gauss.to_json_dict())
+    payload["labels"] = canonical_cell_order(schema)[1:].tolist()
+    payload["exact_min_kl"] = exact_min_kl(beta)
+    payload["kl_bound"] = {"value": bound.value, "valid": bound.valid}
+    payload["level"] = CREDIBLE_LEVEL
+    payload["intervals"] = gaussian_intervals(gauss.mean, gauss.variances()).tolist()
+    return json.dumps(payload) + "\n"
+
+
+@st.composite
+def small_tables(draw):
+    """Up to three variables, some with 11 or more levels (multi-digit
+    labels), at most 400 cells, many of them empty."""
+    levels = draw(st.lists(st.one_of(st.integers(2, 4), st.integers(11, 13)), min_size=1, max_size=3)
+                  .filter(lambda lv: int(np.prod(lv)) <= 400))
+    n_cells = int(np.prod(levels))
+    counts = draw(st.lists(st.one_of(st.just(0), st.integers(0, 40)), min_size=n_cells, max_size=n_cells))
+    return levels, counts
+
+
+class TestJsonWriter:
+    """`approx` and `select` write the bytes json.dumps gives for the same
+    payload built from Python lists."""
+
+    VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, -1 / 3]
+
+    @pytest.mark.parametrize("shape", [(-1,), (-1, 2)])
+    @pytest.mark.parametrize("repeats", [1, 40])
+    def test_float_array_text(self, monkeypatch, shape, repeats):
+        """All-distinct values take the direct path, repeated ones the
+        per-distinct-value path; both give json.dumps's text."""
+        deduped = []
+        column_texts = tableio._column_texts
+        monkeypatch.setattr(tableio, "_column_texts", lambda c: deduped.append(c) or column_texts(c))
+        values = np.array(self.VALUES * repeats).reshape(shape)
+        assert tableio._float_array_json(values) == json.dumps(values.tolist())
+        assert bool(deduped) == (repeats > 1)
+
+    def test_non_finite_and_integer_arrays(self):
+        for values in (np.array([np.nan, np.inf, -np.inf, 1.5] * 20), np.arange(50), np.zeros((0, 2))):
+            assert tableio._float_array_json(values) == json.dumps(values.tolist())
+
+    def test_string_equal_to_the_slot_is_refused(self):
+        with pytest.raises(ValueError):
+            tableio.write_json({"mean": np.zeros(3), "name": "\x00"}, io.StringIO())
+
+    @pytest.mark.parametrize("tail_cells", [1, 5, 1024])
+    @pytest.mark.parametrize("levels", [(2,), (13,), (3, 2, 4), (2,) * 11, (12, 3, 11, 2)])
+    def test_cell_labels_text(self, monkeypatch, tail_cells, levels):
+        """Labels come out in blocks of one head prefix each; any split of
+        the variables into head and tail gives the same text."""
+        monkeypatch.setattr(tableio, "_LABEL_TAIL_CELLS", tail_cells)
+        schema = TableSchema(levels)
+        text = io.StringIO()
+        tableio.write_json({"labels": tableio.CellLabels(schema)}, text)
+        expected = {"labels": canonical_cell_order(schema)[1:].tolist()}
+        assert text.getvalue() == json.dumps(expected) + "\n"
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=small_tables(), prior=st.floats(1e-4, 1e4),
+           parametrization=st.sampled_from(["identity", "corner"]), to_file=st.booleans())
+    def test_approx_bytes_equal_list_payload(self, tmp_path, capsys, table, prior, parametrization, to_file):
+        levels, counts = table
+        path = write_json_table(tmp_path / "t.json", levels, counts)
+        argv = ["approx", "--table", path, "--prior", repr(prior), "--parametrization", parametrization]
+        out = tmp_path / "o.json"
+        capsys.readouterr()
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        assert text == list_approx_text(levels, counts, prior, parametrization)
+
+    def test_select_bytes_equal_list_payload(self, tmp_path, capsys):
+        counts = np.random.default_rng(301).integers(0, 200, 32)
+        table = write_json_table(tmp_path / "t.json", [2] * 5, counts.tolist())
+        assert main(["select", "--table", table, "--prior", "1", "--alpha", "0.1"]) == 0
+        design = corner_design(TableSchema([2] * 5))
+        gauss = transform_gaussian(optimal_gaussian(DirichletParams(1.0 + counts)), design)
+        path = lasso_path(gauss.mean, gauss.cov, n_lambda=100, lambda_min_ratio=1e-3)
+        result = pcr_select(path, gauss.mean, gauss.cov, 0.1)
+        payload = {"alpha": 0.1, "parametrization": "corner", "n_lambda": 100, "lambda_min_ratio": 1e-3}
+        payload.update(listed(result.to_json_dict(design.labels)))
+        payload["labels"] = design.labels.tolist()
+        assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+
 class TestCompareCommand:
     def test_runs_and_is_deterministic(self, tmp_path):
         config = tmp_path / "sim.json"
@@ -173,6 +281,17 @@ class TestCompareCommand:
         ]:
             config.write_text(text)
             assert main(["compare", "--config", str(config)]) == 2, text
+
+    def test_prior_outside_range_exit_2_without_warnings(self, tmp_path, capsys):
+        config = tmp_path / "sim.json"
+        config.write_text('{"p": 2, "N": [5], "a": [1e-300], "mc": [], "replicates": 2}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "prior" in err and "1e-300" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_prior_one_over_d_runs(self, tmp_path):
         """a = 1/d at p = 8 (d = 255) once sent the Laplace baseline off the simplex."""

@@ -7,6 +7,7 @@ from scipy import stats
 
 from dygauss.baselines import stream_rng
 from dygauss.metrics import (
+    CREDIBLE_LEVEL,
     MetricReport,
     coverage,
     empirical_intervals,
@@ -90,6 +91,24 @@ class TestCoverage:
         (lo, hi), _ = intervals
         assert lo == pytest.approx(-1.96, abs=0.03)
         assert hi == pytest.approx(1.96, abs=0.03)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 300), st.integers(1, 6)),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e5, 1e300]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_empirical_intervals_equal_numpy_percentile(self, shape, scale, ties, seed):
+        """Sorted-draw interpolation is numpy's "linear" percentile exactly,
+        ties and every sample size from 1 up included."""
+        draws = np.random.default_rng(seed).normal(size=shape)
+        if ties:
+            draws = np.round(draws * 3)
+        draws *= scale
+        tail = 100.0 * 0.5 * (1.0 - CREDIBLE_LEVEL)
+        expected = np.percentile(draws, [tail, 100.0 - tail], axis=0).T
+        assert np.array_equal(empirical_intervals(draws), expected)
 
     def test_calibrated_bayes_coverage(self):
         """Intervals from the optimal Gaussian on prior-simulated data hit

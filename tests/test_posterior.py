@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -20,6 +21,7 @@ from dygauss.posterior import (
     transform_gaussian,
 )
 from dygauss.specfun import digamma, log_gamma, trigamma
+from dygauss.tableio import write_json
 
 from oracles import gauss_legendre, ld_logpdf, trigamma_bracket
 
@@ -360,7 +362,9 @@ class TestGaussianApproxSerialization:
         g = transform_gaussian(
             optimal_gaussian(DirichletParams(np.array([2.0, 1.0, 4.0, 3.0, 0.5, 7.0]))), design
         )
-        payload = json.loads(json.dumps(g.to_json_dict()))
+        text = io.StringIO()
+        write_json(g.to_json_dict(), text)
+        payload = json.loads(text.getvalue())
         assert payload["cov"]["type"] == "corner_cs"
         assert payload["cov"]["levels"] == [3, 2]
         back = GaussianApprox.from_json_dict(payload)
