@@ -18,14 +18,12 @@ true probability vectors with it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .posterior import CompoundSymmetryMatrix, DirichletParams, GaussianApprox
 
 __all__ = [
-    "SampleBatch",
     "stream_rng",
     "derive_seed",
     "mc_approx",
@@ -57,31 +55,6 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Log-ratio posterior draws, one row per sample, plus the seed for audit."""
-
-    draws: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        if draws.ndim != 2 or draws.shape[0] < 1:
-            raise ValueError("draws must be an (mc x d) matrix with mc >= 1")
-        if not np.all(np.isfinite(draws)):
-            raise ValueError("draws must be finite")
-        draws.flags.writeable = False
-        object.__setattr__(self, "draws", draws)
-
-    @property
-    def mc(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.draws.shape[1]
-
-
 # Transient draw buffers are capped near this many doubles (~256 MB total
 # across the three per-block temporaries).
 _BLOCK_BUDGET = 12_000_000
@@ -95,24 +68,31 @@ def _log_gamma_block(rng: np.random.Generator, shapes: np.ndarray, n: int) -> np
     return np.log(boosted) + np.log(u) / shapes
 
 
-def mc_approx(beta: DirichletParams, mc: int, seed: int) -> SampleBatch:
-    """Monte Carlo posterior approximation: Dirichlet draws mapped to
-    log-ratio coordinates.
+def mc_approx(beta: DirichletParams, mc: int, seed: int) -> np.ndarray:
+    """Monte Carlo posterior approximation: an (mc, d) matrix of Dirichlet
+    draws mapped to log-ratio coordinates, one row per draw.
 
     The log ratio of Dirichlet coordinates equals the difference of the
     underlying log-gamma variates, so the draws are formed directly in log
-    scale and never touch the simplex boundary.
+    scale and never touch the simplex boundary. A row that is not finite
+    is redrawn from the same stream, for at most _MAX_RESAMPLE_ROUNDS
+    rounds; only redrawn rows are checked again, and rows still not finite
+    after the last round raise ValueError.
     """
     if mc < 1:
         raise ValueError(f"need mc >= 1 draws, got {mc}")
     rng = stream_rng(seed)
     theta = _theta_draws(rng, beta, mc)
+    bad = np.flatnonzero(~np.all(np.isfinite(theta), axis=1))
     for _ in range(_MAX_RESAMPLE_ROUNDS):
-        bad = np.where(~np.all(np.isfinite(theta), axis=1))[0]
         if bad.size == 0:
             break
-        theta[bad] = _theta_draws(rng, beta, bad.size)
-    return SampleBatch(theta, seed)
+        redrawn = _theta_draws(rng, beta, bad.size)
+        theta[bad] = redrawn
+        bad = bad[~np.all(np.isfinite(redrawn), axis=1)]
+    if bad.size:
+        raise ValueError(f"{bad.size} draws are still not finite after {_MAX_RESAMPLE_ROUNDS} redraw rounds")
+    return theta
 
 
 def _theta_draws(rng: np.random.Generator, beta: DirichletParams, n: int) -> np.ndarray:

@@ -150,6 +150,8 @@ def _cmd_select(args) -> int:
     }
 
     if args.marginals is None:
+        if args.reference is not None:
+            raise InputError("--reference scores the marginal selections; it needs --marginals")
         result, labels = _select_one(table, args.prior, args)
         payload.update(result.to_json_dict(labels))
         payload["labels"] = CellLabels(table.schema)
@@ -157,9 +159,7 @@ def _cmd_select(args) -> int:
         k = args.marginals
         if k < 1 or k > p:
             raise InputError(f"--marginals must lie in [1, {p}], got {k}")
-        reference = None
-        if args.reference:
-            reference = load_reference_graph(args.reference, p)
+        reference = None if args.reference is None else load_reference_graph(args.reference, p)
         subsets = list(combinations(range(p), k))
 
         def job(keep):
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--prior", required=True)
     p_select.add_argument("--alpha", type=float, required=True, help="credibility miss level")
     p_select.add_argument("--marginals", type=int, help="run on every k-variable marginal table")
-    p_select.add_argument("--reference", help="reference graph edge-list file")
+    p_select.add_argument("--reference", help="reference graph edge-list file (with --marginals)")
     p_select.add_argument("--n-lambda", type=int, default=100, dest="n_lambda")
     p_select.add_argument(
         "--lambda-min-ratio", type=float, default=1e-3, dest="lambda_min_ratio"

@@ -87,10 +87,6 @@ class ContingencyTable:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def canonical_cell_order(schema: TableSchema) -> np.ndarray:
     """All cells in canonical order, (0, ..., 0) first: an (n_cells, p)

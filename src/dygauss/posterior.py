@@ -1,5 +1,5 @@
-"""Conjugate updating for the multinomial log-linear model and the optimal
-Gaussian approximation to its posterior.
+"""The conjugate posterior of the multinomial log-linear model and the
+optimal Gaussian approximation to it.
 
 The posterior of the log-ratio parameter under the conjugate prior is the
 log-ratio pushforward of a Dirichlet law with concentration beta = prior +
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .parametrization import DesignMatrix, TableSchema, adjoint_theta_star, from_theta_star, to_theta_star
+from .parametrization import DesignMatrix, adjoint_theta_star, from_theta_star, to_theta_star
 from .specfun import digamma, log_gamma, trigamma
 
 __all__ = [
@@ -35,12 +35,10 @@ __all__ = [
     "CompoundSymmetryMatrix",
     "DesignCovariance",
     "GaussianApprox",
-    "dy_update",
     "ld_moments",
     "optimal_gaussian",
     "transform_gaussian",
     "exact_min_kl",
-    "kl_to_gaussian",
     "KLBound",
     "kl_bound",
 ]
@@ -200,28 +198,6 @@ class GaussianApprox:
             "cov": self.cov.to_json_dict(),
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "GaussianApprox":
-        cov_spec = payload["cov"]
-        kind = cov_spec["type"]
-        if kind != "cs" and not kind.endswith("_cs"):
-            raise ValueError(f"unknown covariance type {kind!r}")
-        cov = CompoundSymmetryMatrix(np.array(cov_spec["diag"], dtype=float), float(cov_spec["common"]))
-        if kind != "cs":
-            design = DesignMatrix(kind.removesuffix("_cs"), TableSchema(cov_spec["levels"]))
-            cov = DesignCovariance(cov, design)
-        return cls(np.array(payload["mean"], dtype=float), cov, payload["parametrization"])
-
-
-def dy_update(alpha: DirichletParams, y) -> DirichletParams:
-    """Conjugate update: posterior concentration = prior + observed counts."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != alpha.beta.shape:
-        raise ValueError(f"count vector must have length {alpha.beta.size}, got {y.shape}")
-    if np.any(y < 0) or not np.all(y == np.floor(y)):
-        raise ValueError("counts must be nonnegative integers")
-    return DirichletParams(alpha.beta + y)
-
 
 def ld_moments(beta: DirichletParams) -> tuple[np.ndarray, CompoundSymmetryMatrix]:
     """Exact mean and covariance of the log-ratio coordinates under beta."""
@@ -244,59 +220,21 @@ def transform_gaussian(g: GaussianApprox, design: DesignMatrix) -> GaussianAppro
     return GaussianApprox(to_theta_star(g.mean, design), DesignCovariance(g.cov, design), design.kind)
 
 
-def _neg_entropy(beta: DirichletParams, psi: np.ndarray) -> float:
-    """E log p(t) under the log-ratio law, given psi = digamma(beta):
-    log-normalizer + sum_j b_j (psi(b_j) - psi(B)), where the log-normalizer
-    of Dirichlet(b) is log Gamma(B) - sum_j log Gamma(b_j)."""
-    b = beta.beta
-    log_norm = log_gamma(b.sum()) - float(log_gamma(b).sum())
-    return log_norm + float((b * (psi - digamma(beta.total))).sum())
-
-
 def exact_min_kl(beta: DirichletParams) -> float:
     """KL divergence from the log-ratio law to its optimal Gaussian, in closed form.
 
     Equals log-normalizer + sum_j b_j (psi(b_j) - psi(B)) + (d/2)(1 + log 2pi)
-    + (1/2) log det Sigma*, evaluated without densifying Sigma*.
+    + (1/2) log det Sigma*, evaluated without densifying Sigma*. The first
+    two terms are E log p(t) under the log-ratio law; the log-normalizer of
+    Dirichlet(b) is log Gamma(B) - sum_j log Gamma(b_j).
     """
-    psi = digamma(beta.beta)
-    tri = trigamma(beta.beta)
+    b = beta.beta
+    psi = digamma(b)
+    tri = trigamma(b)
+    log_norm = log_gamma(b.sum()) - float(log_gamma(b).sum())
+    neg_entropy = log_norm + float((b * (psi - digamma(beta.total))).sum())
     logdet = CompoundSymmetryMatrix(tri[1:], tri[0]).logdet()
-    return _neg_entropy(beta, psi) + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet
-
-
-def kl_to_gaussian(beta: DirichletParams, mu, sigma) -> float:
-    """KL divergence from the log-ratio law with concentration beta to N(mu, sigma).
-
-    Closed form: the only terms involving (mu, sigma) are
-    (1/2) log det Sigma + (1/2)[tr(Sigma^{-1} Sigma*) + (m* - mu)^T
-    Sigma^{-1} (m* - mu)], minimized exactly at the law's own moments.
-    """
-    mu = np.asarray(mu, dtype=float)
-    d = beta.d
-    if mu.shape != (d,):
-        raise ValueError(f"mean must have length {d}, got shape {mu.shape}")
-    cov = sigma.to_dense() if hasattr(sigma, "to_dense") else np.asarray(sigma, dtype=float)
-    if cov.shape != (d, d):
-        raise ValueError(f"covariance must be {d}x{d}, got {cov.shape}")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be symmetric positive definite") from exc
-
-    mean_star, cov_star = ld_moments(beta)
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    # tr(Sigma^{-1} Sigma*) via triangular solves against the structured factor.
-    half = np.linalg.solve(chol, cov_star.to_dense())
-    trace = float(np.trace(np.linalg.solve(chol, half.T)))
-    resid = np.linalg.solve(chol, mean_star - mu)
-    quad = float(resid @ resid)
-    return (
-        _neg_entropy(beta, digamma(beta.beta))
-        + 0.5 * d * _LOG_2PI
-        + 0.5 * logdet
-        + 0.5 * (trace + quad)
-    )
+    return neg_entropy + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet
 
 
 class KLBound(NamedTuple):

@@ -69,14 +69,6 @@ class LassoPath:
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "coefs", coefs)
 
-    @property
-    def n_points(self) -> int:
-        return self.lambdas.size
-
-    @property
-    def d(self) -> int:
-        return self.coefs.shape[1]
-
 
 @dataclass(frozen=True)
 class SelectionResult:

@@ -91,6 +91,16 @@ class SimulationConfig:
         unknown = set(self.parametrizations) - {"identity", "corner"}
         if unknown:
             raise InputError(f"unknown parametrizations {sorted(unknown)}")
+        # A repeated prior would overwrite its own CSVs, a repeated N or
+        # parametrization would write its rows twice, a repeated mc draw twice.
+        for key, values in (
+            ("N", self.sample_sizes),
+            ("a", self.prior_a),
+            ("mc", self.mc_sizes),
+            ("parametrizations", self.parametrizations),
+        ):
+            if len(set(values)) < len(values):
+                raise InputError(f"config key {key!r} repeats a value: {list(values)}")
 
     @property
     def schema(self) -> TableSchema:
@@ -195,8 +205,8 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
     mc_results = {}
     for mc_idx, mc in enumerate(cfg.mc_sizes):
         seed_mc = derive_seed(cond.cond_seed, rep, 1 + mc_idx)
-        time_mc, batch = _time_call(lambda: mc_approx(beta, mc, seed_mc), cfg.timing_repeats)
-        mc_results[mc] = (time_mc, batch)
+        time_mc, draws = _time_call(lambda: mc_approx(beta, mc, seed_mc), cfg.timing_repeats)
+        mc_results[mc] = (time_mc, draws)
 
     ks_pool = rng.choice(d, size=min(cfg.ks_coords, d), replace=False) if cfg.ks_coords else []
 
@@ -218,14 +228,14 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
         if par == "identity":
             truth = theta0
             g_par, lap_par = gauss, lap
-            mc_draws = {mc: batch.draws for mc, (_, batch) in mc_results.items()}
+            mc_draws = {mc: draws for mc, (_, draws) in mc_results.items()}
         else:
             truth = to_theta_star(theta0, cond.design)
             g_par = transform_gaussian(gauss, cond.design)
             lap_par = transform_gaussian(lap, cond.design)
             mc_draws = {
-                mc: to_theta_star(batch.draws.T, cond.design).T
-                for mc, (_, batch) in mc_results.items()
+                mc: to_theta_star(draws.T, cond.design).T
+                for mc, (_, draws) in mc_results.items()
             }
         sigma_ref = g_par.cov_dense()
 

@@ -63,15 +63,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .parametrization import ContingencyTable, TableSchema, canonical_cell_order
+from .parametrization import ContingencyTable, TableSchema
 
 __all__ = [
     "InputError",
     "load_table",
     "load_table_csv",
     "load_table_json",
-    "save_table_csv",
-    "save_table_json",
     "load_prior",
     "load_reference_graph",
     "CellLabels",
@@ -189,20 +187,6 @@ def _raise_first_bad_row(path, text: str, p: int) -> None:
                 raise InputError(f"{path}:{lineno}: not an integer: {field.strip()!r}")
             if not _INT64.min <= int(field) <= _INT64.max:
                 raise InputError(f"{path}:{lineno}: {field.strip()} is outside the int64 range")
-
-
-def save_table_csv(table: ContingencyTable, path) -> None:
-    cells = canonical_cell_order(table.schema).tolist()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"i_{v + 1}" for v in range(table.schema.p)] + ["count"])
-        for cell, count in zip(cells, table.counts.tolist()):
-            writer.writerow(cell + [count])
-
-
-def save_table_json(table: ContingencyTable, path) -> None:
-    payload = {"levels": list(table.schema.levels), "counts": table.counts.tolist()}
-    Path(path).write_text(json.dumps(payload))
 
 
 MIN_PRIOR, MAX_PRIOR = 1e-100, 1e100

@@ -1,16 +1,19 @@
 """Independent oracles used to fix expected values: direct series with tail
-brackets, numerical quadrature, and bisection. None of these share code with
-the implementation under test.
+brackets, numerical quadrature, bisection, dense linear algebra on
+``scipy.special``, and reference readers and writers of the file formats.
+None of these share code with the implementation under test.
 """
 
 import csv
 import ctypes
 import glob
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, linalg, optimize, special
 
 
 def log_gamma_quad(z: float) -> float:
@@ -138,6 +141,75 @@ def ld_logpdf(theta, beta):
     log_norm = special.logsumexp(padded, axis=-1)
     out = special.gammaln(b.sum()) - special.gammaln(b).sum() + (t * b[1:]).sum(axis=-1) - b.sum() * log_norm
     return float(out) if t.ndim == 1 else out
+
+
+def kl_to_gaussian(beta, mu, sigma) -> float:
+    """KL divergence from the log-ratio law with concentration beta (a vector,
+    or anything with a ``.beta`` vector) to N(mu, sigma), on dense matrices.
+
+    KL = E log p - E log q. The first term is lnGamma(B) - sum_j lnGamma(b_j)
+    + sum_j b_j (psi(b_j) - psi(B)). The cross-entropy -E log q is
+    (d/2) log 2pi + (1/2) log det sigma + (1/2) tr(sigma^{-1} S)
+    + (1/2) (m - mu)^T sigma^{-1} (m - mu), with the law's moments
+    m_j = psi(b_j) - psi(b_0) and S = Diag(psi'(b_j)) + psi'(b_0) 11^T,
+    through a Cholesky factor of sigma (a matrix, or anything with
+    ``to_dense()``). A sigma that is not positive definite raises ValueError.
+    """
+    b = np.asarray(getattr(beta, "beta", beta), dtype=float)
+    d = b.size - 1
+    mu = np.asarray(mu, dtype=float)
+    cov = np.asarray(sigma.to_dense() if hasattr(sigma, "to_dense") else sigma, dtype=float)
+    if mu.shape != (d,) or cov.shape != (d, d):
+        raise ValueError(f"expected a mean of length {d} and a {d}x{d} covariance")
+    chol = np.linalg.cholesky(cov)  # LinAlgError, a ValueError, unless positive definite
+    psi, tri = special.digamma(b), special.polygamma(1, b)
+    total = b.sum()
+    neg_entropy = special.gammaln(total) - special.gammaln(b).sum() + (b * (psi - special.digamma(total))).sum()
+    half = linalg.solve_triangular(chol, np.diag(tri[1:]) + tri[0], lower=True)
+    trace = np.trace(linalg.solve_triangular(chol, half.T, lower=True))
+    resid = linalg.solve_triangular(chol, psi[1:] - psi[0] - mu, lower=True)
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    return float(neg_entropy + 0.5 * d * math.log(2.0 * math.pi) + 0.5 * logdet + 0.5 * (trace + resid @ resid))
+
+
+def gaussian_from_json(payload: dict) -> tuple[np.ndarray, np.ndarray, str]:
+    """(mean, dense covariance, parametrization) of a Gaussian as ``approx``
+    writes it. A "cs" covariance is Diag(diag) + common 11^T. A "corner_cs"
+    one is that matrix S carried through the corner matrix X as
+    X^{-1} S X^{-T}, with X built densely from its Kronecker factors
+    I + (first column of ones) over `levels`, baseline row and column dropped.
+    """
+    spec = payload["cov"]
+    if spec["type"] not in ("cs", "corner_cs"):
+        raise ValueError(f"unknown covariance type {spec['type']!r}")
+    cov = np.diag(np.asarray(spec["diag"], dtype=float)) + float(spec["common"])
+    if spec["type"] == "corner_cs":
+        x = np.ones((1, 1))
+        for n in spec["levels"]:
+            factor = np.eye(n)
+            factor[:, 0] = 1.0
+            x = np.kron(x, factor)
+        x = x[1:, 1:]
+        cov = np.linalg.solve(x, np.linalg.solve(x, cov).T)
+    return np.asarray(payload["mean"], dtype=float), cov, payload["parametrization"]
+
+
+def save_table_csv(table, path) -> None:
+    """Write a table (``schema.levels`` and canonical ``counts``) as table CSV,
+    one row per cell in canonical order."""
+    levels = table.schema.levels
+    cells = np.indices(levels).reshape(len(levels), -1).T.tolist()
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"i_{v + 1}" for v in range(len(levels))] + ["count"])
+        for cell, count in zip(cells, table.counts.tolist()):
+            writer.writerow(cell + [count])
+
+
+def save_table_json(table, path) -> None:
+    """Write a table as table JSON: levels and canonical counts."""
+    payload = {"levels": list(table.schema.levels), "counts": table.counts.tolist()}
+    Path(path).write_text(json.dumps(payload))
 
 
 def lasso_path_cd(theta_hat, cov, lambdas) -> np.ndarray:

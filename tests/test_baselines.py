@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dygauss import baselines
 from dygauss.baselines import (
     NewtonError,
-    SampleBatch,
     _softmax,
     derive_seed,
     laplace_approx,
@@ -13,8 +13,10 @@ from dygauss.baselines import (
     mc_approx,
     stream_rng,
 )
-from dygauss.posterior import DirichletParams, exact_min_kl, kl_to_gaussian, ld_moments
+from dygauss.posterior import DirichletParams, exact_min_kl, ld_moments
 from dygauss.specfun import trigamma
+
+from oracles import kl_to_gaussian
 
 
 class TestStreams:
@@ -36,24 +38,52 @@ class TestStreams:
 class TestMcApprox:
     def test_symmetric_mean(self):
         beta = DirichletParams(np.array([1.0, 1.0]))
-        batch = mc_approx(beta, 1_000_000, seed=5)
-        assert abs(batch.draws.mean()) < 0.01
+        draws = mc_approx(beta, 1_000_000, seed=5)
+        assert abs(draws.mean()) < 0.01
 
     def test_mean_matches_moments(self):
         beta = DirichletParams(np.array([2.0, 1.0]))
-        batch = mc_approx(beta, 1_000_000, seed=6)
-        assert abs(batch.draws.mean() - (-1.0)) < 0.01
+        draws = mc_approx(beta, 1_000_000, seed=6)
+        assert abs(draws.mean() - (-1.0)) < 0.01
 
     def test_tiny_shapes_stay_finite(self):
         beta = DirichletParams(np.full(128, 1.0 / 127.0))
-        batch = mc_approx(beta, 2000, seed=7)
-        assert np.all(np.isfinite(batch.draws))
+        draws = mc_approx(beta, 2000, seed=7)
+        assert draws.shape == (2000, 127)
+        assert np.all(np.isfinite(draws))
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):
-            SampleBatch(np.zeros((0, 3)), seed=0)
-        with pytest.raises(ValueError):
             mc_approx(DirichletParams(np.ones(3)), 0, seed=1)
+
+    def test_rows_never_finite_raise(self, monkeypatch):
+        """A row that stays non-finite through every redraw round is an
+        error, not a returned draw."""
+        def one_nan_row(rng, beta, n):
+            out = np.zeros((n, beta.d))
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(baselines, "_theta_draws", one_nan_row)
+        with pytest.raises(ValueError, match="finite"):
+            mc_approx(DirichletParams(np.ones(4)), 50, seed=2)
+
+    def test_non_finite_rows_redrawn_from_the_stream(self, monkeypatch):
+        """Rows that are not finite are redrawn; the finite rows stay."""
+        real = baselines._theta_draws
+        calls = []
+
+        def first_row_nan_once(rng, beta, n):
+            out = real(rng, beta, n)
+            if not calls:
+                out[0] = np.nan
+            calls.append(n)
+            return out
+
+        monkeypatch.setattr(baselines, "_theta_draws", first_row_nan_once)
+        draws = mc_approx(DirichletParams(np.ones(4)), 50, seed=2)
+        assert calls == [50, 1]
+        assert np.all(np.isfinite(draws))
 
 
 class TestMapEstimate:

@@ -293,6 +293,18 @@ class TestCompareCommand:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [("N", [20, 20]), ("a", [1, 1.0]), ("mc", [50, 50]), ("parametrizations", ["corner", "corner"])],
+    )
+    def test_repeated_entry_exit_2(self, tmp_path, capsys, key, values):
+        """A repeated value would overwrite or duplicate another entry's rows."""
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"p": 2, "N": [20], "mc": [], "replicates": 2, key: values}))
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_prior_one_over_d_runs(self, tmp_path):
         """a = 1/d at p = 8 (d = 255) once sent the Laplace baseline off the simplex."""
         config = tmp_path / "sim.json"
@@ -367,6 +379,12 @@ class TestSelectCommand:
         assert main(["select", "--table", table, "--prior", "1", "--alpha", "0.1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["delta"] <= payload["delta_max"]
+
+    def test_reference_without_marginals_exit_2(self, tmp_path, capsys):
+        table = write_json_table(tmp_path / "t.json", [2, 2], [1, 2, 3, 4])
+        argv = ["select", "--table", table, "--prior", "1", "--alpha", "0.1", "--reference", "missing.txt"]
+        assert main(argv) == 2
+        assert "--marginals" in capsys.readouterr().err
 
     def test_marginals_too_large_exit_2(self, tmp_path):
         table = write_json_table(tmp_path / "t.json", [2, 2], [1, 2, 3, 4])

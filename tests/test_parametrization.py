@@ -192,7 +192,7 @@ class TestMarginalize:
         table = ContingencyTable(TableSchema((2, 2)), np.array([1, 2, 3, 4]))
         out = marginalize(table, [0])
         np.testing.assert_array_equal(out.counts, [3, 7])
-        assert out.total == table.total
+        assert out.counts.sum() == table.counts.sum()
 
     def test_against_bruteforce(self):
         rng = np.random.default_rng(8)

@@ -12,10 +12,8 @@ from dygauss.posterior import (
     CompoundSymmetryMatrix,
     DirichletParams,
     GaussianApprox,
-    dy_update,
     exact_min_kl,
     kl_bound,
-    kl_to_gaussian,
     ld_moments,
     optimal_gaussian,
     transform_gaussian,
@@ -23,7 +21,7 @@ from dygauss.posterior import (
 from dygauss.specfun import digamma, log_gamma, trigamma
 from dygauss.tableio import write_json
 
-from oracles import gauss_legendre, ld_logpdf, trigamma_bracket
+from oracles import gauss_legendre, gaussian_from_json, kl_to_gaussian, ld_logpdf, trigamma_bracket
 
 
 def random_beta(rng, d=None, lo=0.6, hi=50.0):
@@ -39,26 +37,6 @@ def quadrature_kl_1d(beta, mu, var):
     logphi = -0.5 * np.log(2 * math.pi * var) - 0.5 * (nodes - mu) ** 2 / var
     p = np.exp(logp)
     return float(np.sum(weights * p * (logp - logphi)))
-
-
-class TestDyUpdate:
-    def test_no_data(self):
-        alpha = DirichletParams(np.ones(3))
-        np.testing.assert_array_equal(dy_update(alpha, np.zeros(3)).beta, np.ones(3))
-
-    def test_adds_counts(self):
-        alpha = DirichletParams(np.ones(4))
-        out = dy_update(alpha, np.array([5, 0, 2, 1]))
-        np.testing.assert_array_equal(out.beta, [6.0, 1.0, 3.0, 2.0])
-
-    def test_positivity_preserved_with_zero_counts(self):
-        alpha = DirichletParams(np.full(8, 1.0 / 7.0))
-        out = dy_update(alpha, np.zeros(8))
-        assert np.all(out.beta > 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dy_update(DirichletParams(np.ones(3)), np.zeros(4))
 
 
 class TestLdMoments:
@@ -81,7 +59,7 @@ class TestLdMoments:
         beta = DirichletParams(rng.uniform(0.8, 6.0, 5))
         mean, cov = ld_moments(beta)
         mc = 400_000
-        draws = mc_approx(beta, mc, seed=99).draws
+        draws = mc_approx(beta, mc, seed=99)
         se_mean = draws.std(axis=0) / math.sqrt(mc)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se_mean)
         sample_cov = np.cov(draws.T)
@@ -331,7 +309,7 @@ class TestKlInvariance:
         star = transform_gaussian(optimal_gaussian(beta), design)
 
         mc = 400_000
-        theta = mc_approx(beta, mc, seed=55).draws
+        theta = mc_approx(beta, mc, seed=55)
         theta_star = np.linalg.solve(x, theta.T).T
         # the corner matrix is unit triangular: |det X| = 1, so the density
         # of theta* is the identity density evaluated at X theta*
@@ -352,10 +330,10 @@ class TestKlInvariance:
 class TestGaussianApproxSerialization:
     def test_cs_roundtrip(self):
         g = optimal_gaussian(DirichletParams(np.array([2.0, 1.0, 4.0])))
-        back = GaussianApprox.from_json_dict(g.to_json_dict())
-        np.testing.assert_allclose(back.mean, g.mean)
-        np.testing.assert_allclose(back.cov_dense(), g.cov_dense())
-        assert back.parametrization == g.parametrization
+        mean, cov, parametrization = gaussian_from_json(g.to_json_dict())
+        np.testing.assert_allclose(mean, g.mean)
+        np.testing.assert_allclose(cov, g.cov_dense())
+        assert parametrization == g.parametrization
 
     def test_corner_cs_roundtrip(self):
         design = corner_design(TableSchema((3, 2)))
@@ -367,18 +345,13 @@ class TestGaussianApproxSerialization:
         payload = json.loads(text.getvalue())
         assert payload["cov"]["type"] == "corner_cs"
         assert payload["cov"]["levels"] == [3, 2]
-        back = GaussianApprox.from_json_dict(payload)
-        assert back.cov.design == design
-        np.testing.assert_array_equal(back.mean, g.mean)
-        np.testing.assert_array_equal(back.cov_dense(), g.cov_dense())
-        assert back.parametrization == "corner"
+        mean, cov, parametrization = gaussian_from_json(payload)
+        np.testing.assert_array_equal(mean, g.mean)
+        np.testing.assert_allclose(cov, g.cov_dense(), rtol=1e-13, atol=1e-13)
+        assert parametrization == "corner"
 
     def test_validation(self):
         with pytest.raises(TypeError):
             GaussianApprox(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(ValueError):
             GaussianApprox(np.zeros(3), CompoundSymmetryMatrix(np.ones(2), 1.0))
-        with pytest.raises(ValueError):
-            GaussianApprox.from_json_dict(
-                {"parametrization": "corner", "mean": [0.0], "cov": {"type": "dense", "entries": [[1.0]]}}
-            )

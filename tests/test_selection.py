@@ -138,7 +138,7 @@ class TestLassoPath:
 
     def test_zero_estimate_short_circuit(self):
         path = lasso_path(np.zeros(4), np.eye(4))
-        assert path.n_points == 1
+        assert path.lambdas.size == 1
         assert path.supports == ((),)
 
     def test_non_pd_rejected(self):

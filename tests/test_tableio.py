@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dygauss.parametrization import ContingencyTable, TableSchema
 from dygauss import tableio
-from oracles import load_table_csv_rows
+from oracles import load_table_csv_rows, save_table_csv, save_table_json
 from dygauss.tableio import (
     MAX_CSV_CELLS,
     InputError,
@@ -20,8 +20,6 @@ from dygauss.tableio import (
     load_table,
     load_table_csv,
     load_table_json,
-    save_table_csv,
-    save_table_json,
     worker_count,
 )
 
@@ -163,7 +161,7 @@ class TestJsonRoundtrip:
         path = tmp_path / "t.json"
         path.write_text('{"levels": [2, 2], "counts": [0, 0, 0, 0]}')
         t = load_table_json(path)
-        assert t.total == 0
+        assert t.counts.sum() == 0
 
     def test_extension_dispatch(self, table, tmp_path):
         jpath, cpath = tmp_path / "t.json", tmp_path / "t.csv"
