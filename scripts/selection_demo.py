@@ -22,7 +22,7 @@ def select(table: ContingencyTable, prior_a: float, alpha: float):
     design = corner_design(table.schema)
     gauss = transform_gaussian(optimal_gaussian(beta), design)
     path = lasso_path(gauss.mean, gauss.cov)
-    result = pcr_select(path, gauss.mean, gauss.cov, alpha)
+    result = pcr_select(path, alpha)
     return result, design.labels
 
 

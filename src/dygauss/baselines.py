@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _MAX_RESAMPLE_ROUNDS = 100
+_NEWTON_TOL = 1e-10  # relative gradient tolerance of map_estimate (see its docstring)
+_NEWTON_MAX_ITER = 100
 
 
 class NewtonError(RuntimeError):
@@ -129,9 +131,7 @@ def _log_posterior(theta: np.ndarray, beta: DirichletParams) -> float:
     return float(beta.beta[1:] @ theta) - beta.total * log_norm
 
 
-def map_estimate(
-    beta: DirichletParams, tol: float = 1e-10, max_iter: int = 100
-) -> np.ndarray:
+def map_estimate(beta: DirichletParams) -> np.ndarray:
     """Posterior mode of the log-ratio parameter by damped Newton-Raphson.
 
     Gradient is b_j - B p_j(theta); the negative Hessian B(Diag(p) - p p^T)
@@ -140,19 +140,20 @@ def map_estimate(
     guarantees monotone ascent from the theta = 0 start; the halving ends on
     its own once theta + t step == theta, so an overlong step is never taken.
 
-    Convergence: per-coordinate gradient below tol * (1 + b_j). Relative
-    scaling matches the gradient's floating-point noise floor (the term
-    B p_j carries relative, not absolute, rounding error); an absolute
-    threshold would be unreachable for concentrated posteriors. The line
+    Convergence: per-coordinate gradient below _NEWTON_TOL * (1 + b_j) within
+    _NEWTON_MAX_ITER steps, else NewtonError. Relative scaling matches the
+    gradient's floating-point noise floor (the term B p_j carries relative,
+    not absolute, rounding error); an absolute threshold would be
+    unreachable for concentrated posteriors. The line
     search is skipped once steps are tiny, where the log posterior can no
     longer resolve the (certain) improvement of a pure Newton step.
     """
     b = beta.beta
     total = beta.total
-    thresholds = tol * (1.0 + b[1:])
+    thresholds = _NEWTON_TOL * (1.0 + b[1:])
     theta = np.zeros(beta.d)
     value = _log_posterior(theta, beta)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         p, p0 = _softmax(theta)
         grad = b[1:] - total * p
         if np.all(np.abs(grad) < thresholds):
@@ -171,14 +172,14 @@ def map_estimate(
         return theta
     grad_norm = float(np.abs(grad).max())
     raise NewtonError(
-        f"MAP Newton did not converge in {max_iter} iterations "
+        f"MAP Newton did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(worst gradient {grad_norm:.3e})",
         theta,
         grad_norm,
     )
 
 
-def laplace_approx(beta: DirichletParams, tol: float = 1e-10, max_iter: int = 100) -> GaussianApprox:
+def laplace_approx(beta: DirichletParams) -> GaussianApprox:
     """Gaussian at the posterior mode with inverse-curvature covariance.
 
     The curvature is the posterior negative Hessian B(Diag(p) - p p^T)
@@ -186,7 +187,7 @@ def laplace_approx(beta: DirichletParams, tol: float = 1e-10, max_iter: int = 10
     1/(B p_j) and common term 1/(B p_0), which at the exact mode reduces to
     Diag(1/b_j) + (1/b_0) 11^T.
     """
-    theta_hat = map_estimate(beta, tol=tol, max_iter=max_iter)
+    theta_hat = map_estimate(beta)
     p, p0 = _softmax(theta_hat)
     total = beta.total
     cov = CompoundSymmetryMatrix(1.0 / (total * p), 1.0 / (total * p0))

@@ -109,7 +109,7 @@ def _select_one(table: ContingencyTable, prior, args) -> tuple[SelectionResult, 
         n_lambda=args.n_lambda,
         lambda_min_ratio=args.lambda_min_ratio,
     )
-    result = pcr_select(path, gauss.mean, gauss.cov, args.alpha)
+    result = pcr_select(path, args.alpha)
     return result, design.labels
 
 

@@ -126,15 +126,21 @@ def empirical_intervals(draws) -> np.ndarray:
 
 
 def frobenius_loss(sigma_hat, sigma) -> float:
-    """Relative Frobenius error ||Sigma_hat - Sigma||_F / ||Sigma||_F."""
+    """Relative Frobenius error ||Sigma_hat - Sigma||_F / ||Sigma||_F. Both
+    are scaled by 2^-k, 2^k just above Sigma's largest |entry|, so no square
+    overflows (entries near 1e200 at priors of 1e-100); a power of two scales
+    exactly, so the ratio keeps its bits wherever it was finite unscaled."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if sigma_hat.shape != sigma.shape:
         raise ValueError("matrices must have the same shape")
-    denom = float(np.linalg.norm(sigma))
-    if denom == 0.0:
+    largest = max(float(sigma.max(initial=0.0)), -float(sigma.min(initial=0.0)))
+    if largest == 0.0:
         raise ValueError("reference matrix is zero; relative loss undefined")
-    return float(np.linalg.norm(sigma_hat - sigma)) / denom
+    scale = np.ldexp(1.0, -np.frexp(largest)[1])
+    work = np.subtract(sigma_hat, sigma)  # the one d x d buffer, reused for both norms
+    numer = float(np.linalg.norm(np.multiply(work, scale, out=work)))
+    return numer / float(np.linalg.norm(np.multiply(sigma, scale, out=work)))
 
 
 def ks_statistic(samples, mu: float, sigma: float) -> float:

@@ -11,9 +11,9 @@ Given a posterior approximation N(theta_hat, Sigma), the procedure is:
 Candidates come from the lasso path of
     min (theta - theta_hat)^T Sigma^{-1} (theta - theta_hat) + lam * ||theta||_1,
 followed exactly by the LARS-lasso homotopy (the path is piecewise linear in
-lam). Sigma^{-1} is applied, never formed: a structured covariance has its own
-O(d p) `solve` (X^T Sigma*^{-1} X v for the corner covariance), a plain matrix
-one Cholesky factor. Every emitted path point carries a KKT certificate.
+lam). Sigma^{-1} is applied, never formed, by the covariance's own O(d p)
+`solve` (X^T Sigma*^{-1} X v for the corner covariance). Every emitted path
+point carries a KKT certificate and its delta, which `pcr_select` reads.
 """
 
 from __future__ import annotations
@@ -47,27 +47,31 @@ class LassoConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LassoPath:
-    """Penalty grid, per-penalty coefficient vectors, and their supports."""
+    """Penalty grid, per-penalty coefficient vectors, their supports and
+    distances delta to theta_hat, the estimate the path shrinks."""
 
     lambdas: np.ndarray
     coefs: np.ndarray
     supports: tuple[tuple[int, ...], ...]
+    theta_hat: np.ndarray
+    deltas: np.ndarray
 
     def __post_init__(self):
-        lambdas = np.asarray(self.lambdas, dtype=float)
-        coefs = np.asarray(self.coefs, dtype=float)
+        for name in ("lambdas", "coefs", "theta_hat", "deltas"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        lambdas, coefs = self.lambdas, self.coefs
         if lambdas.ndim != 1 or np.any(lambdas <= 0.0):
             raise ValueError("lambdas must be positive")
         if np.any(np.diff(lambdas) >= 0.0):
             raise ValueError("lambdas must be strictly decreasing")
         if coefs.ndim != 2 or coefs.shape[0] != lambdas.size or len(self.supports) != lambdas.size:
             raise ValueError("one coefficient vector and support per lambda required")
+        if self.theta_hat.shape != coefs.shape[1:] or self.deltas.shape != lambdas.shape:
+            raise ValueError("one theta_hat entry per coefficient and one delta per lambda required")
         if np.any(np.abs(coefs[0]) > SUPPORT_EPS):
             raise ValueError("the largest penalty must yield the zero vector")
-        lambdas.flags.writeable = False
-        coefs.flags.writeable = False
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "coefs", coefs)
 
 
 @dataclass(frozen=True)
@@ -93,19 +97,6 @@ class SelectionResult:
         return payload
 
 
-def _precision(sigma):
-    """v -> Sigma^{-1} v for a (d,) or (d, k) array v: a structured
-    covariance's own `solve`, or two triangular solves against the Cholesky
-    factor of a plain matrix."""
-    if hasattr(sigma, "solve"):
-        return sigma.solve
-    try:
-        chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be symmetric positive definite") from exc
-    return lambda v: np.linalg.solve(chol.T, np.linalg.solve(chol, v))
-
-
 def _support_of(coef: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in np.where(np.abs(coef) > SUPPORT_EPS)[0])
 
@@ -127,19 +118,19 @@ def lasso_path(
     against its sign reaches 0 (it leaves). Grid points are read off these
     segments. A point whose KKT residual exceeds 1e-9 max(1, lambda_max), or
     a path that stops making progress, raises LassoConvergenceError.
+    `sigma` is a covariance with a `solve(v)` method for (d,) and (d, k) v.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
+    theta_hat = np.array(theta_hat, dtype=float)  # a copy: LassoPath freezes it
     d = theta_hat.size
     if n_lambda < 1:
         raise ValueError("n_lambda must be >= 1")
     if not (0.0 < lambda_min_ratio <= 1.0):
         raise ValueError("lambda_min_ratio must lie in (0, 1]")
-    precision = _precision(sigma)
-    corr_at_zero = 2.0 * precision(theta_hat)
+    corr_at_zero = 2.0 * sigma.solve(theta_hat)
     lam_max = float(np.abs(corr_at_zero).max())
     if lam_max == 0.0:
         # theta_hat is exactly zero; the path is the single zero model.
-        return LassoPath(np.array([1.0]), np.zeros((1, d)), (tuple(),))
+        return LassoPath(np.array([1.0]), np.zeros((1, d)), (tuple(),), theta_hat, np.zeros(1))
 
     lambdas = np.exp(
         np.linspace(np.log(lam_max), np.log(lam_max * lambda_min_ratio), n_lambda)
@@ -181,10 +172,11 @@ def lasso_path(
             j = int(np.argmin(join))
             unit = np.zeros(d)
             unit[j] = 1.0
-            active, columns = np.append(active, j), np.column_stack([columns, precision(unit)])
+            active, columns = np.append(active, j), np.column_stack([columns, sigma.solve(unit)])
 
-    grad = 2.0 * precision((coefs - theta_hat).T).T
-    residual = _kkt_residuals(grad, coefs, lambdas)
+    diffs = theta_hat - coefs
+    q = sigma.solve(diffs.T)
+    residual = _kkt_residuals(-2.0 * q.T, coefs, lambdas)
     bad = np.flatnonzero(residual > 1e-9 * max(1.0, lam_max))
     if bad.size:
         i = int(bad[0])
@@ -192,7 +184,7 @@ def lasso_path(
             f"lasso path point {i} (lambda={lambdas[i]:.6g}) not certified: KKT residual {residual[i]:.3g}"
         )
     supports = tuple(_support_of(c) for c in coefs)
-    return LassoPath(lambdas, coefs, supports)
+    return LassoPath(lambdas, coefs, supports, theta_hat, np.einsum("ij,ji->i", diffs, q))
 
 
 def _kkt_residuals(grad: np.ndarray, coefs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -207,35 +199,27 @@ def _kkt_residuals(grad: np.ndarray, coefs: np.ndarray, lambdas: np.ndarray) -> 
     return violation.max(axis=1, initial=0.0)
 
 
-def pcr_select(path: LassoPath, theta_hat, sigma, alpha: float) -> SelectionResult:
+def pcr_select(path: LassoPath, alpha: float) -> SelectionResult:
     """Sparsest path model inside the (1 - alpha) credible ellipsoid.
 
-    Ties in support size break toward smaller distance. If no path model
-    fits the region, the full (unpenalized) model theta_hat is returned with
-    the fallback flag set; its distance is zero by definition.
+    Ties in support size break toward smaller distance, then toward the
+    earlier path point. If no path model fits the region, the full
+    (unpenalized) model theta_hat is returned with the fallback flag set;
+    its distance is zero by definition.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    d = theta_hat.size
+    d = path.theta_hat.size
     if d < 2:
         raise ValueError("selection needs at least 2 coefficients (threshold uses d - 1 dof)")
     delta_max = chi2_quantile(1.0 - alpha, d - 1)
-    diffs = theta_hat - path.coefs
-    deltas = np.einsum("ij,ji->i", diffs, _precision(sigma)(diffs.T))
-    best = None
-    for coef, support, delta in zip(path.coefs, path.supports, deltas.tolist()):
-        if delta > delta_max:
-            continue
-        key = (len(support), delta)
-        if best is None or key < best[0]:
-            best = (key, coef, support, delta)
-    if best is None:
-        return SelectionResult(
-            theta_hat.copy(), _support_of(theta_hat), 0.0, delta_max, alpha, fallback=True
-        )
-    _, coef, support, delta = best
-    return SelectionResult(coef.copy(), support, delta, delta_max, alpha, fallback=False)
+    feasible = path.deltas <= delta_max
+    if not feasible.any():
+        theta_hat = path.theta_hat.copy()
+        return SelectionResult(theta_hat, _support_of(theta_hat), 0.0, delta_max, alpha, fallback=True)
+    sizes = np.array([len(s) for s in path.supports])
+    i = int(np.lexsort((path.deltas, sizes, ~feasible))[0])  # stable: the first of equal keys
+    return SelectionResult(path.coefs[i].copy(), path.supports[i], float(path.deltas[i]), delta_max, alpha)
 
 
 @dataclass(frozen=True)

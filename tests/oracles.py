@@ -212,6 +212,22 @@ def save_table_json(table, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+class DenseCovariance:
+    """A plain covariance matrix behind the interface ``lasso_path`` reads:
+    ``solve`` by two dense solves against its Cholesky factor, and
+    ``to_dense``. A matrix that is not positive definite raises LinAlgError."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.chol = np.linalg.cholesky(self.matrix)
+
+    def solve(self, v) -> np.ndarray:
+        return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, v))
+
+    def to_dense(self) -> np.ndarray:
+        return self.matrix
+
+
 def lasso_path_cd(theta_hat, cov, lambdas) -> np.ndarray:
     """Lasso path of min (t - theta_hat)^T cov^{-1} (t - theta_hat) + lam ||t||_1
     on the given grid, by cyclic coordinate descent on the whitened problem

@@ -34,6 +34,7 @@ from dygauss.simulate import SimulationConfig, aggregate_means, multinomial_samp
 from dygauss.specfun import chi2_quantile
 
 from oracles import (
+    DenseCovariance,
     gauss_legendre,
     gumbel_normal_ks_limit,
     kl_to_gaussian,
@@ -493,7 +494,7 @@ def test_criterion_11_selection_contract():
         m = rng.normal(size=(d, d))
         sigma = m @ m.T + 0.3 * np.eye(d)
         theta = rng.normal(size=d) * 2.0
-        path = lasso_path(theta, sigma, n_lambda=60)
+        path = lasso_path(theta, DenseCovariance(sigma), n_lambda=60)
         sigma_inv = np.linalg.inv(sigma)
         for lam, coef in zip(path.lambdas, path.coefs):
             grad = 2.0 * sigma_inv @ (coef - theta)
@@ -502,7 +503,7 @@ def test_criterion_11_selection_contract():
                     worst_kkt = max(worst_kkt, abs(grad[j] + lam * np.sign(c)))
                 else:
                     worst_kkt = max(worst_kkt, max(0.0, abs(grad[j]) - lam))
-        result = pcr_select(path, theta, sigma, alpha=0.1)
+        result = pcr_select(path, alpha=0.1)
         if not result.fallback:
             feasible = [
                 len(s)
@@ -513,7 +514,7 @@ def test_criterion_11_selection_contract():
     assert worst_kkt < 1e-6
 
     theta = rng.normal(size=6) * 2.0
-    path = lasso_path(theta, np.eye(6), n_lambda=50, lambda_min_ratio=1e-4)
+    path = lasso_path(theta, DenseCovariance(np.eye(6)), n_lambda=50, lambda_min_ratio=1e-4)
     soft_ok = all(
         np.allclose(c, np.sign(theta) * np.maximum(np.abs(theta) - lam / 2.0, 0.0), atol=1e-9)
         for lam, c in zip(path.lambdas, path.coefs)
@@ -529,7 +530,7 @@ def test_criterion_11_selection_contract():
         design = corner_design(table.schema)
         gauss = transform_gaussian(optimal_gaussian(beta), design)
         p = lasso_path(gauss.mean, gauss.cov)
-        return pcr_select(p, gauss.mean, gauss.cov, alpha=0.1), design.labels
+        return pcr_select(p, alpha=0.1), design.labels
 
     dependent, labels = select_counts([50, 5, 5, 50])
     dep_labels = [labels[j].tolist() for j in dependent.support]
@@ -553,6 +554,6 @@ def test_criterion_11_selection_contract():
 def test_delta_max_uses_chi_square_quantile():
     """Companion check: the selection threshold is the stated quantile."""
     theta = np.array([1.0, 0.5, 0.2])
-    path = lasso_path(theta, np.eye(3))
-    result = pcr_select(path, theta, np.eye(3), alpha=0.1)
+    path = lasso_path(theta, DenseCovariance(np.eye(3)))
+    result = pcr_select(path, alpha=0.1)
     assert result.delta_max == pytest.approx(chi2_quantile(0.9, 2), abs=1e-9)

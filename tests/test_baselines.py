@@ -101,25 +101,30 @@ class TestMapEstimate:
         theta = map_estimate(DirichletParams(b))
         np.testing.assert_allclose(theta, np.log(b[1:] / b[0]), atol=1e-8)
 
-    def test_gradient_norm_at_exit(self):
+    def test_gradient_norm_at_exit(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_NEWTON_TOL", 1e-12)
         beta = DirichletParams(np.array([4.0, 0.6, 12.0, 1.0]))
-        theta = map_estimate(beta, tol=1e-12)
+        theta = map_estimate(beta)
         probs, _ = _softmax(theta)
         grad = beta.beta[1:] - beta.total * probs
         assert np.all(np.abs(grad) < 1e-12 * (1.0 + beta.beta[1:]))
 
-    def test_nonconvergence_error_carries_state(self):
+    def test_nonconvergence_error_carries_state(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_NEWTON_TOL", 1e-10)
+        monkeypatch.setattr(baselines, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(NewtonError) as err:
-            map_estimate(DirichletParams(np.array([5.0, 1.0, 2.0])), tol=1e-10, max_iter=1)
+            map_estimate(DirichletParams(np.array([5.0, 1.0, 2.0])))
         assert err.value.last_iterate.shape == (2,)
         assert err.value.grad_norm > 0
 
-    def test_robust_convergence_skewed_beta(self):
+    def test_robust_convergence_skewed_beta(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_NEWTON_TOL", 1e-10)
+        monkeypatch.setattr(baselines, "_NEWTON_MAX_ITER", 50)
         rng = np.random.default_rng(10)
         for d in (16, 64, 256):
             b = np.exp(rng.uniform(0.0, math.log(1e6), d + 1))
             b = b / b.min()  # max/min ratio <= 1e6, min exactly 1
-            theta = map_estimate(DirichletParams(b), tol=1e-10, max_iter=50)
+            theta = map_estimate(DirichletParams(b))
             np.testing.assert_allclose(theta, np.log(b[1:] / b[0]), atol=1e-7)
 
     def test_prior_one_over_d_with_one_full_cell(self):

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dygauss import tableio
+from dygauss import simulate, tableio
+from dygauss.baselines import NewtonError
 from dygauss.cli import main
 from dygauss.metrics import CREDIBLE_LEVEL, gaussian_intervals
 from dygauss.parametrization import TableSchema, canonical_cell_order, corner_design
@@ -235,7 +236,7 @@ class TestJsonWriter:
         design = corner_design(TableSchema([2] * 5))
         gauss = transform_gaussian(optimal_gaussian(DirichletParams(1.0 + counts)), design)
         path = lasso_path(gauss.mean, gauss.cov, n_lambda=100, lambda_min_ratio=1e-3)
-        result = pcr_select(path, gauss.mean, gauss.cov, 0.1)
+        result = pcr_select(path, 0.1)
         payload = {"alpha": 0.1, "parametrization": "corner", "n_lambda": 100, "lambda_min_ratio": 1e-3}
         payload.update(listed(result.to_json_dict(design.labels)))
         payload["labels"] = design.labels.tolist()
@@ -304,6 +305,47 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        """Misspelt keys would otherwise run the default study (100 replicates) without a word."""
+        config = tmp_path / "sim.json"
+        config.write_text('{"p": 2, "N": [5], "mc": [], "replicate": 2, "seeds": 3}')
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'replicate'" in err and "'seeds'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_levels_with_p_exit_2(self, tmp_path, capsys):
+        """Two table shapes in one config: neither silently wins."""
+        config = tmp_path / "sim.json"
+        config.write_text('{"p": 3, "levels": [2, 2], "N": [5], "mc": [], "replicates": 2}')
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'levels'" in err and "'p'" in err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log_a=st.floats(-100.0, 25.0), p=st.integers(2, 3), seed=st.integers(1, 2**31))
+    @example(log_a=-100.0, p=3, seed=1)
+    @example(log_a=-80.0, p=2, seed=1)
+    def test_extreme_priors_exit_0_without_warnings(self, tmp_path, log_a, p, seed):
+        """The Frobenius loss once overflowed for priors <= 1e-80 (covariance entries near 1e200)."""
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"p": p, "N": [5], "a": [10.0**log_a], "mc": [20], "replicates": 2,
+                                      "seed": seed, "ks_coords": 2, "timing_repeats": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_newton_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(beta):
+            raise NewtonError("MAP Newton did not converge", np.zeros(beta.d), 1.0)
+
+        monkeypatch.setattr(simulate, "laplace_approx", no_convergence)
+        config = tmp_path / "sim.json"
+        config.write_text('{"p": 2, "N": [5], "mc": [], "replicates": 2, "timing_repeats": 1}')
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "numerical failure: MAP Newton did not converge" in capsys.readouterr().err
 
     def test_prior_one_over_d_runs(self, tmp_path):
         """a = 1/d at p = 8 (d = 255) once sent the Laplace baseline off the simplex."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import lasso_path_cd
+from oracles import DenseCovariance, lasso_path_cd
 
 from dygauss import selection
 from dygauss.cli import main
@@ -57,19 +57,19 @@ def corner_tables(draw):
 
 class TestLassoPath:
     def test_zero_at_lambda_max(self):
-        path = lasso_path(np.array([1.0, -2.0]), np.eye(2))
+        path = lasso_path(np.array([1.0, -2.0]), DenseCovariance(np.eye(2)))
         assert np.all(path.coefs[0] == 0.0)
         assert path.supports[0] == ()
 
     def test_converges_to_estimate_at_small_lambda(self):
         theta = np.array([3.0, -1.0, 0.5])
-        path = lasso_path(theta, np.eye(3), n_lambda=80, lambda_min_ratio=1e-4)
+        path = lasso_path(theta, DenseCovariance(np.eye(3)), n_lambda=80, lambda_min_ratio=1e-4)
         np.testing.assert_allclose(path.coefs[-1], theta, atol=1e-3)
 
     def test_soft_threshold_closed_form(self):
         rng = np.random.default_rng(1)
         theta = rng.normal(size=5) * 3.0
-        path = lasso_path(theta, np.eye(5), n_lambda=60, lambda_min_ratio=1e-4)
+        path = lasso_path(theta, DenseCovariance(np.eye(5)), n_lambda=60, lambda_min_ratio=1e-4)
         for lam, coef in zip(path.lambdas, path.coefs):
             expected = np.sign(theta) * np.maximum(np.abs(theta) - lam / 2.0, 0.0)
             np.testing.assert_allclose(coef, expected, atol=1e-9)
@@ -80,7 +80,7 @@ class TestLassoPath:
         m = rng.normal(size=(d, d))
         sigma = m @ m.T + 0.3 * np.eye(d)
         theta = rng.normal(size=d) * 2.0
-        path = lasso_path(theta, sigma, n_lambda=60)
+        path = lasso_path(theta, DenseCovariance(sigma), n_lambda=60)
         active, inactive = kkt_residuals(path, theta, np.linalg.inv(sigma))
         assert active < 1e-6
         assert inactive < 1e-6
@@ -119,7 +119,7 @@ class TestLassoPath:
     def test_support_grows_from_empty(self):
         rng = np.random.default_rng(2)
         theta = rng.normal(size=8)
-        path = lasso_path(theta, np.eye(8))
+        path = lasso_path(theta, DenseCovariance(np.eye(8)))
         assert len(path.supports[0]) == 0
         assert len(path.supports[-1]) >= len(path.supports[0])
 
@@ -137,19 +137,17 @@ class TestLassoPath:
         assert selection._kkt_residuals(grad, coefs, lambdas).tolist() == expected
 
     def test_zero_estimate_short_circuit(self):
-        path = lasso_path(np.zeros(4), np.eye(4))
+        path = lasso_path(np.zeros(4), DenseCovariance(np.eye(4)))
         assert path.lambdas.size == 1
         assert path.supports == ((),)
 
-    def test_non_pd_rejected(self):
-        with pytest.raises(ValueError):
-            lasso_path(np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-
     def test_path_validation(self):
         with pytest.raises(ValueError):
-            LassoPath(np.array([1.0, 2.0]), np.zeros((2, 3)), ((), ()))  # increasing
+            LassoPath(np.array([1.0, 2.0]), np.zeros((2, 3)), ((), ()), np.zeros(3), np.zeros(2))  # increasing
         with pytest.raises(ValueError):
-            LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), ((0, 1, 2), (0, 1, 2)))
+            LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), ((0, 1, 2), (0, 1, 2)), np.ones(3), np.zeros(2))
+        with pytest.raises(ValueError):
+            LassoPath(np.array([2.0, 1.0]), np.zeros((2, 3)), ((), ()), np.zeros(3), np.zeros(3))  # deltas
 
 
 class TestSweepLimit:
@@ -164,7 +162,7 @@ class TestSweepLimit:
 
     def test_lasso_path_raises(self, uncertified):
         with pytest.raises(LassoConvergenceError, match="point 1 .*not certified"):
-            lasso_path(np.array([1.0, -2.0, 0.5]), np.eye(3), n_lambda=10)
+            lasso_path(np.array([1.0, -2.0, 0.5]), DenseCovariance(np.eye(3)), n_lambda=10)
 
     def test_select_exits_3(self, uncertified, tmp_path, capsys):
         table = tmp_path / "t.json"
@@ -174,19 +172,20 @@ class TestSweepLimit:
 
 
 class TestMahalanobisDelta:
-    """The distance pcr_select reports for its chosen model:
-    (theta_hat - theta_0)^T Sigma^{-1} (theta_hat - theta_0)."""
+    """The distance lasso_path records for every path point, and pcr_select
+    reports for its chosen model: (theta_hat - theta_0)^T Sigma^{-1} (theta_hat - theta_0)."""
 
     def test_zero_at_estimate(self):
         theta = np.array([1.0, 2.0])
-        path = LassoPath(np.array([2.0, 1.0]), np.array([np.zeros(2), theta]), ((), (0, 1)))
-        result = pcr_select(path, theta, np.eye(2), alpha=0.5)
+        path = LassoPath(np.array([2.0, 1.0]), np.array([np.zeros(2), theta]), ((), (0, 1)), theta, [5.0, 0.0])
+        result = pcr_select(path, alpha=0.5)
         assert not result.fallback and result.support == (0, 1)
         assert result.delta == 0.0
 
     def test_squared_norm_for_identity(self):
-        path = LassoPath(np.array([1.0]), np.zeros((1, 2)), ((),))
-        result = pcr_select(path, np.array([3.0, 4.0]), np.eye(2), alpha=1e-8)
+        path = lasso_path(np.array([3.0, 4.0]), DenseCovariance(np.eye(2)))
+        assert path.deltas[0] == pytest.approx(25.0)
+        result = pcr_select(path, alpha=1e-8)
         assert not result.fallback
         assert result.delta == pytest.approx(25.0)
 
@@ -194,19 +193,20 @@ class TestMahalanobisDelta:
         rng = np.random.default_rng(3)
         cs = CompoundSymmetryMatrix(rng.uniform(0.5, 4.0, 64), 1.1)
         diff = rng.normal(size=64) - rng.normal(size=64)
-        path = LassoPath(np.array([1.0]), np.zeros((1, 64)), ((),))
-        dense = pcr_select(path, diff, cs.to_dense(), alpha=1e-8)
-        structured = pcr_select(path, diff, cs, alpha=1e-8)
-        assert not dense.fallback and not structured.fallback
-        assert structured.delta == pytest.approx(dense.delta, abs=1e-9)
-        assert structured.delta == pytest.approx(float(diff @ cs.solve(diff)), abs=1e-9)
+        path = lasso_path(diff, cs)
+        dense = [(diff - c) @ np.linalg.solve(cs.to_dense(), diff - c) for c in path.coefs]
+        np.testing.assert_allclose(path.deltas, dense, rtol=0.0, atol=1e-9)
+        assert path.deltas[0] == pytest.approx(float(diff @ cs.solve(diff)), abs=1e-9)
+        result = pcr_select(path, alpha=1e-8)
+        assert not result.fallback
+        assert result.delta == path.deltas[0]
 
 
 class TestPcrSelect:
     def test_strong_signal_sparse_support(self):
         theta = np.array([5.0, 0.01, 0.01])
-        path = lasso_path(theta, np.eye(3), n_lambda=100, lambda_min_ratio=1e-4)
-        result = pcr_select(path, theta, np.eye(3), alpha=0.1)
+        path = lasso_path(theta, DenseCovariance(np.eye(3)), n_lambda=100, lambda_min_ratio=1e-4)
+        result = pcr_select(path, alpha=0.1)
         assert result.support == (0,)
         assert not result.fallback
         # exhaustive confirmation: no feasible path model is sparser
@@ -218,17 +218,26 @@ class TestPcrSelect:
         ]
         assert min(feasible_sizes) == 1
 
+    def test_ties_break_toward_smaller_delta_then_earlier_point(self):
+        coefs = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
+        supports = ((), (0,), (1,), (2,), (0, 1))
+        deltas = [9.0, 0.4, 0.2, 0.2, 0.0]  # delta_max = chi2_quantile(0.9, 2) = 4.6
+        path = LassoPath(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), coefs, supports, np.ones(3), deltas)
+        result = pcr_select(path, alpha=0.1)
+        assert result.support == (1,) and result.delta == 0.2
+        np.testing.assert_array_equal(result.chosen, coefs[2])
+
     def test_zero_estimate(self):
-        path = lasso_path(np.zeros(3), np.eye(3))
-        result = pcr_select(path, np.zeros(3), np.eye(3), alpha=0.1)
+        path = lasso_path(np.zeros(3), DenseCovariance(np.eye(3)))
+        result = pcr_select(path, alpha=0.1)
         assert result.support == ()
         assert result.delta == 0.0
         assert not result.fallback
 
     def test_threshold_collapse_falls_back(self):
         theta = np.array([4.0, 3.0, 2.0])
-        path = lasso_path(theta, np.eye(3), n_lambda=25, lambda_min_ratio=1e-2)
-        result = pcr_select(path, theta, np.eye(3), alpha=1.0 - 1e-12)
+        path = lasso_path(theta, DenseCovariance(np.eye(3)), n_lambda=25, lambda_min_ratio=1e-2)
+        result = pcr_select(path, alpha=1.0 - 1e-12)
         assert result.fallback
         assert result.delta == 0.0
         np.testing.assert_allclose(result.chosen, theta)
@@ -240,8 +249,8 @@ class TestPcrSelect:
             m = rng.normal(size=(d, d))
             sigma = m @ m.T + 0.2 * np.eye(d)
             theta = rng.normal(size=d) * rng.uniform(0.5, 3.0)
-            path = lasso_path(theta, sigma, n_lambda=40)
-            result = pcr_select(path, theta, sigma, alpha=0.1)
+            path = lasso_path(theta, DenseCovariance(sigma), n_lambda=40)
+            result = pcr_select(path, alpha=0.1)
             if not result.fallback:
                 assert result.delta <= result.delta_max + 1e-12
                 feasible = [
@@ -250,6 +259,10 @@ class TestPcrSelect:
                     if (theta - c) @ np.linalg.solve(sigma, theta - c) <= result.delta_max
                 ]
                 assert len(result.support) == min(feasible)
+                # reference: the first path point of smallest (support size, delta)
+                *_, i = min((len(s), dl, i) for i, (s, dl) in enumerate(zip(path.supports, path.deltas))
+                            if dl <= result.delta_max)
+                np.testing.assert_array_equal(result.chosen, path.coefs[i])
 
     def test_scale_invariance_of_support(self):
         rng = np.random.default_rng(5)
@@ -257,22 +270,20 @@ class TestPcrSelect:
         m = rng.normal(size=(d, d))
         sigma = m @ m.T + 0.4 * np.eye(d)
         theta = rng.normal(size=d) * 2.0
-        base = pcr_select(lasso_path(theta, sigma), theta, sigma, alpha=0.2)
+        base = pcr_select(lasso_path(theta, DenseCovariance(sigma)), alpha=0.2)
         for c in (0.03, 7.0, 250.0):
-            scaled = pcr_select(
-                lasso_path(c * theta, c * c * sigma), c * theta, c * c * sigma, alpha=0.2
-            )
+            scaled = pcr_select(lasso_path(c * theta, DenseCovariance(c * c * sigma)), alpha=0.2)
             assert scaled.support == base.support
 
     def test_alpha_validation(self):
-        path = lasso_path(np.ones(2), np.eye(2))
+        path = lasso_path(np.ones(2), DenseCovariance(np.eye(2)))
         with pytest.raises(ValueError):
-            pcr_select(path, np.ones(2), np.eye(2), alpha=0.0)
+            pcr_select(path, alpha=0.0)
 
     def test_single_coefficient_rejected(self):
-        path = lasso_path(np.ones(1), np.eye(1))
+        path = lasso_path(np.ones(1), DenseCovariance(np.eye(1)))
         with pytest.raises(ValueError):
-            pcr_select(path, np.ones(1), np.eye(1), alpha=0.1)
+            pcr_select(path, alpha=0.1)
 
 
 class TestEdgeConfusion:
