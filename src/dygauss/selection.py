@@ -47,12 +47,11 @@ class LassoConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LassoPath:
-    """Penalty grid, per-penalty coefficient vectors, their supports and
-    distances delta to theta_hat, the estimate the path shrinks."""
+    """Penalty grid, per-penalty coefficient vectors and their distances
+    delta to theta_hat, the estimate the path shrinks."""
 
     lambdas: np.ndarray
     coefs: np.ndarray
-    supports: tuple[tuple[int, ...], ...]
     theta_hat: np.ndarray
     deltas: np.ndarray
 
@@ -66,8 +65,8 @@ class LassoPath:
             raise ValueError("lambdas must be positive")
         if np.any(np.diff(lambdas) >= 0.0):
             raise ValueError("lambdas must be strictly decreasing")
-        if coefs.ndim != 2 or coefs.shape[0] != lambdas.size or len(self.supports) != lambdas.size:
-            raise ValueError("one coefficient vector and support per lambda required")
+        if coefs.ndim != 2 or coefs.shape[0] != lambdas.size:
+            raise ValueError("one coefficient vector per lambda required")
         if self.theta_hat.shape != coefs.shape[1:] or self.deltas.shape != lambdas.shape:
             raise ValueError("one theta_hat entry per coefficient and one delta per lambda required")
         if np.any(np.abs(coefs[0]) > SUPPORT_EPS):
@@ -130,7 +129,7 @@ def lasso_path(
     lam_max = float(np.abs(corr_at_zero).max())
     if lam_max == 0.0:
         # theta_hat is exactly zero; the path is the single zero model.
-        return LassoPath(np.array([1.0]), np.zeros((1, d)), (tuple(),), theta_hat, np.zeros(1))
+        return LassoPath(np.array([1.0]), np.zeros((1, d)), theta_hat, np.zeros(1))
 
     lambdas = np.exp(
         np.linspace(np.log(lam_max), np.log(lam_max * lambda_min_ratio), n_lambda)
@@ -183,8 +182,7 @@ def lasso_path(
         raise LassoConvergenceError(
             f"lasso path point {i} (lambda={lambdas[i]:.6g}) not certified: KKT residual {residual[i]:.3g}"
         )
-    supports = tuple(_support_of(c) for c in coefs)
-    return LassoPath(lambdas, coefs, supports, theta_hat, np.einsum("ij,ji->i", diffs, q))
+    return LassoPath(lambdas, coefs, theta_hat, np.einsum("ij,ji->i", diffs, q))
 
 
 def _kkt_residuals(grad: np.ndarray, coefs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -217,9 +215,10 @@ def pcr_select(path: LassoPath, alpha: float) -> SelectionResult:
     if not feasible.any():
         theta_hat = path.theta_hat.copy()
         return SelectionResult(theta_hat, _support_of(theta_hat), 0.0, delta_max, alpha, fallback=True)
-    sizes = np.array([len(s) for s in path.supports])
+    sizes = np.count_nonzero(np.abs(path.coefs) > SUPPORT_EPS, axis=1)
     i = int(np.lexsort((path.deltas, sizes, ~feasible))[0])  # stable: the first of equal keys
-    return SelectionResult(path.coefs[i].copy(), path.supports[i], float(path.deltas[i]), delta_max, alpha)
+    chosen = path.coefs[i].copy()
+    return SelectionResult(chosen, _support_of(chosen), float(path.deltas[i]), delta_max, alpha)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ __all__ = [
     "trigamma",
     "normal_cdf",
     "normal_quantile",
-    "reg_lower_gamma",
-    "chi2_cdf",
     "chi2_quantile",
 ]
 
@@ -155,102 +153,82 @@ def normal_quantile(p: float) -> float:
     return x
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a, x) by power series, reliable for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(10 * _MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(a * math.log(x) - x - log_gamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a, x) by modified Lentz continued fraction, reliable for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10 * _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(a * math.log(x) - x - log_gamma(a))
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    a = float(_require_positive(a, "reg_lower_gamma"))
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
-
-
-def chi2_cdf(x: float, k: int) -> float:
-    """CDF of the chi-square distribution with k degrees of freedom."""
-    if k < 1:
-        raise ValueError(f"chi2_cdf requires k >= 1, got {k}")
-    if x <= 0.0:
-        return 0.0
-    return reg_lower_gamma(0.5 * k, 0.5 * x)
-
-
-def _chi2_logpdf(x: float, k: int) -> float:
-    half_k = 0.5 * k
-    return (half_k - 1.0) * math.log(x) - 0.5 * x - half_k * math.log(2.0) - log_gamma(half_k)
+def _reg_gamma(a: float, x: float, log_gamma_a: float) -> float:
+    """P(a, x) for a, x > 0, given log_gamma_a = log Gamma(a): the power
+    series for x < a + 1, else one minus the modified Lentz continued
+    fraction for Q(a, x)."""
+    lower = x < a + 1.0
+    if lower:
+        term = 1.0 / a
+        value = term
+        n = a
+        for _ in range(10 * _MAX_ITER):
+            n += 1.0
+            term *= x / n
+            value += term
+            if abs(term) < abs(value) * 1e-16:
+                break
+    else:
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c = 1.0 / tiny
+        d = 1.0 / b
+        value = d
+        for i in range(1, 10 * _MAX_ITER):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            value *= delta
+            if abs(delta - 1.0) < 1e-16:
+                break
+    value *= math.exp(a * math.log(x) - x - log_gamma_a)
+    return value if lower else 1.0 - value
 
 
 def chi2_quantile(p: float, k: int) -> float:
     """Quantile of the chi-square distribution with k degrees of freedom.
 
     Wilson-Hilferty initial guess refined by bracket-safeguarded Newton on
-    the regularized incomplete gamma; falls back to bisection when Newton
-    stalls (the density is unbounded at 0 for k = 1, so the safeguard is
-    not optional).
+    the regularized incomplete gamma P(k/2, x/2); falls back to bisection
+    when Newton stalls (the density is unbounded at 0 for k = 1, so the
+    safeguard is not optional).
     """
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"chi2_quantile requires p in (0, 1), got {p}")
     if k < 1:
         raise ValueError(f"chi2_quantile requires k >= 1, got {k}")
+    half_k = 0.5 * k
+    log_gamma_half_k = log_gamma(half_k)
+
+    def cdf(x: float) -> float:
+        half_x = 0.5 * x
+        return _reg_gamma(half_k, half_x, log_gamma_half_k) if half_x > 0.0 else 0.0
 
     z = normal_quantile(p)
     t = 1.0 - 2.0 / (9.0 * k) + z * math.sqrt(2.0 / (9.0 * k))
     x = k * t * t * t if t > 0.0 else 0.0
     if x <= 0.0:
-        x = 0.5 * k * math.exp((math.log(p) + log_gamma(0.5 * k) + math.log(2.0)) / (0.5 * k))
+        x = 0.5 * k * math.exp((math.log(p) + log_gamma_half_k + math.log(2.0)) / (0.5 * k))
         x = max(x, 1e-300)
 
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_ITER):
-        err = chi2_cdf(x, k) - p
+        err = cdf(x) - p
         if err > 0.0:
             hi = min(hi, x)
         else:
             lo = max(lo, x)
         if abs(err) <= _ABS_TOL:
             return x
-        d = math.exp(_chi2_logpdf(x, k))
+        d = math.exp((half_k - 1.0) * math.log(x) - 0.5 * x - half_k * math.log(2.0) - log_gamma_half_k)
         if d > 0.0 and math.isfinite(d):
             x_new = x - err / d
         else:
@@ -262,11 +240,11 @@ def chi2_quantile(p: float, k: int) -> float:
     # Bisection endgame; the bracket is guaranteed by the loop above.
     if not math.isfinite(hi):
         hi = max(x, 1.0)
-        while chi2_cdf(hi, k) < p:
+        while cdf(hi) < p:
             hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, k) < p:
+        if cdf(mid) < p:
             lo = mid
         else:
             hi = mid

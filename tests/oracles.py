@@ -228,6 +228,11 @@ class DenseCovariance:
         return self.matrix
 
 
+def supports(coefs, eps: float = 1e-10) -> tuple[tuple[int, ...], ...]:
+    """The indices of each row's entries with |value| > eps."""
+    return tuple(tuple(int(j) for j in np.flatnonzero(np.abs(row) > eps)) for row in coefs)
+
+
 def lasso_path_cd(theta_hat, cov, lambdas) -> np.ndarray:
     """Lasso path of min (t - theta_hat)^T cov^{-1} (t - theta_hat) + lam ||t||_1
     on the given grid, by cyclic coordinate descent on the whitened problem

@@ -41,6 +41,7 @@ from oracles import (
     ks_logit_beta,
     ld_logpdf,
     logit_beta_moments,
+    supports,
 )
 
 STUDY_SEED = 20240  # fixed before any acceptance run; never tuned afterwards
@@ -507,7 +508,7 @@ def test_criterion_11_selection_contract():
         if not result.fallback:
             feasible = [
                 len(s)
-                for s, c in zip(path.supports, path.coefs)
+                for s, c in zip(supports(path.coefs), path.coefs)
                 if (theta - c) @ np.linalg.solve(sigma, theta - c) <= result.delta_max
             ]
             assert len(result.support) == min(feasible)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import DenseCovariance, lasso_path_cd
+from oracles import DenseCovariance, lasso_path_cd, supports
 
 from dygauss import selection
 from dygauss.cli import main
@@ -40,7 +40,7 @@ def corner_gaussian(levels, counts, prior=1.0):
 def assert_matches_coordinate_descent(path, theta, cov):
     reference = lasso_path_cd(theta, cov, path.lambdas)
     np.testing.assert_allclose(path.coefs, reference, rtol=0.0, atol=1e-9)
-    assert path.supports == tuple(selection._support_of(c) for c in reference)
+    assert supports(path.coefs) == supports(reference)
 
 
 @st.composite
@@ -59,7 +59,7 @@ class TestLassoPath:
     def test_zero_at_lambda_max(self):
         path = lasso_path(np.array([1.0, -2.0]), DenseCovariance(np.eye(2)))
         assert np.all(path.coefs[0] == 0.0)
-        assert path.supports[0] == ()
+        assert supports(path.coefs)[0] == ()
 
     def test_converges_to_estimate_at_small_lambda(self):
         theta = np.array([3.0, -1.0, 0.5])
@@ -120,8 +120,9 @@ class TestLassoPath:
         rng = np.random.default_rng(2)
         theta = rng.normal(size=8)
         path = lasso_path(theta, DenseCovariance(np.eye(8)))
-        assert len(path.supports[0]) == 0
-        assert len(path.supports[-1]) >= len(path.supports[0])
+        path_supports = supports(path.coefs)
+        assert len(path_supports[0]) == 0
+        assert len(path_supports[-1]) >= len(path_supports[0])
 
     def test_kkt_residual_matches_loop(self):
         rng = np.random.default_rng(9)
@@ -139,15 +140,15 @@ class TestLassoPath:
     def test_zero_estimate_short_circuit(self):
         path = lasso_path(np.zeros(4), DenseCovariance(np.eye(4)))
         assert path.lambdas.size == 1
-        assert path.supports == ((),)
+        assert supports(path.coefs) == ((),)
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
-            LassoPath(np.array([1.0, 2.0]), np.zeros((2, 3)), ((), ()), np.zeros(3), np.zeros(2))  # increasing
+            LassoPath(np.array([1.0, 2.0]), np.zeros((2, 3)), np.zeros(3), np.zeros(2))  # increasing
         with pytest.raises(ValueError):
-            LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), ((0, 1, 2), (0, 1, 2)), np.ones(3), np.zeros(2))
+            LassoPath(np.array([2.0, 1.0]), np.ones((2, 3)), np.ones(3), np.zeros(2))
         with pytest.raises(ValueError):
-            LassoPath(np.array([2.0, 1.0]), np.zeros((2, 3)), ((), ()), np.zeros(3), np.zeros(3))  # deltas
+            LassoPath(np.array([2.0, 1.0]), np.zeros((2, 3)), np.zeros(3), np.zeros(3))  # deltas
 
 
 class TestSweepLimit:
@@ -177,7 +178,7 @@ class TestMahalanobisDelta:
 
     def test_zero_at_estimate(self):
         theta = np.array([1.0, 2.0])
-        path = LassoPath(np.array([2.0, 1.0]), np.array([np.zeros(2), theta]), ((), (0, 1)), theta, [5.0, 0.0])
+        path = LassoPath(np.array([2.0, 1.0]), np.array([np.zeros(2), theta]), theta, [5.0, 0.0])
         result = pcr_select(path, alpha=0.5)
         assert not result.fallback and result.support == (0, 1)
         assert result.delta == 0.0
@@ -213,16 +214,15 @@ class TestPcrSelect:
         delta_max = chi2_quantile(0.9, 2)
         feasible_sizes = [
             len(s)
-            for s, c in zip(path.supports, path.coefs)
+            for s, c in zip(supports(path.coefs), path.coefs)
             if (theta - c) @ (theta - c) <= delta_max
         ]
         assert min(feasible_sizes) == 1
 
     def test_ties_break_toward_smaller_delta_then_earlier_point(self):
         coefs = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
-        supports = ((), (0,), (1,), (2,), (0, 1))
         deltas = [9.0, 0.4, 0.2, 0.2, 0.0]  # delta_max = chi2_quantile(0.9, 2) = 4.6
-        path = LassoPath(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), coefs, supports, np.ones(3), deltas)
+        path = LassoPath(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), coefs, np.ones(3), deltas)
         result = pcr_select(path, alpha=0.1)
         assert result.support == (1,) and result.delta == 0.2
         np.testing.assert_array_equal(result.chosen, coefs[2])
@@ -253,14 +253,15 @@ class TestPcrSelect:
             result = pcr_select(path, alpha=0.1)
             if not result.fallback:
                 assert result.delta <= result.delta_max + 1e-12
+                path_supports = supports(path.coefs)
                 feasible = [
                     len(s)
-                    for s, c in zip(path.supports, path.coefs)
+                    for s, c in zip(path_supports, path.coefs)
                     if (theta - c) @ np.linalg.solve(sigma, theta - c) <= result.delta_max
                 ]
                 assert len(result.support) == min(feasible)
                 # reference: the first path point of smallest (support size, delta)
-                *_, i = min((len(s), dl, i) for i, (s, dl) in enumerate(zip(path.supports, path.deltas))
+                *_, i = min((len(s), dl, i) for i, (s, dl) in enumerate(zip(path_supports, path.deltas))
                             if dl <= result.delta_max)
                 np.testing.assert_array_equal(result.chosen, path.coefs[i])
 
