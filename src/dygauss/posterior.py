@@ -53,7 +53,7 @@ class DirichletParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        beta = np.array(self.beta, dtype=float)  # a copy: the caller's array stays writeable
         if beta.ndim != 1 or beta.size < 2:
             raise ValueError("concentration must be a vector of length >= 2")
         if np.any(beta <= 0.0) or not np.all(np.isfinite(beta)):
@@ -78,7 +78,7 @@ class CompoundSymmetryMatrix:
     common: float
 
     def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
+        diag = np.array(self.diag, dtype=float)  # a copy: the caller's array stays writeable
         if diag.ndim != 1 or diag.size < 1:
             raise ValueError("diag must be a 1-d vector")
         if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
@@ -170,7 +170,7 @@ class GaussianApprox:
     parametrization: str = "identity"
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)  # a copy: the caller's array stays writeable
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         if not isinstance(self.cov, (CompoundSymmetryMatrix, DesignCovariance)):

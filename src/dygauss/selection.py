@@ -57,7 +57,7 @@ class LassoPath:
 
     def __post_init__(self):
         for name in ("lambdas", "coefs", "theta_hat", "deltas"):
-            value = np.asarray(getattr(self, name), dtype=float)
+            value = np.array(getattr(self, name), dtype=float)  # a copy: the caller's array stays writeable
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         lambdas, coefs = self.lambdas, self.coefs
@@ -119,7 +119,7 @@ def lasso_path(
     a path that stops making progress, raises LassoConvergenceError.
     `sigma` is a covariance with a `solve(v)` method for (d,) and (d, k) v.
     """
-    theta_hat = np.array(theta_hat, dtype=float)  # a copy: LassoPath freezes it
+    theta_hat = np.asarray(theta_hat, dtype=float)
     d = theta_hat.size
     if n_lambda < 1:
         raise ValueError("n_lambda must be >= 1")
@@ -205,8 +205,8 @@ def pcr_select(path: LassoPath, alpha: float) -> SelectionResult:
     (unpenalized) model theta_hat is returned with the fallback flag set;
     its distance is zero by definition.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1) and 1 - alpha must round below 1, got {alpha}")
     d = path.theta_hat.size
     if d < 2:
         raise ValueError("selection needs at least 2 coefficients (threshold uses d - 1 dof)")

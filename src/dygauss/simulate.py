@@ -39,7 +39,7 @@ from .metrics import (
 )
 from .parametrization import DesignMatrix, TableSchema, corner_design, to_theta_star
 from .posterior import DirichletParams, optimal_gaussian, transform_gaussian
-from .tableio import MAX_PRIOR, MIN_PRIOR, InputError, map_jobs
+from .tableio import MIN_PRIOR, InputError, map_jobs
 
 __all__ = [
     "SimulationConfig",
@@ -53,6 +53,9 @@ CSV_HEADER = "metric,parametrization,N,mc,replicate,value"
 # Each replicate expands d x d covariances (d = cells - 1) for the Frobenius
 # loss and the Laplace baseline; at 4096 cells one such matrix is 134 MB.
 MAX_STUDY_CELLS = 4096
+# From about a = 1e27 a replicate's true vector can be constant to the last bit (3 of 200
+# four-cell truths at 1e27, all at 1e30, none up to 10^26.5), and its variation is undefined.
+MAX_STUDY_PRIOR = 1e25
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,8 @@ class SimulationConfig:
         if not self.prior_a:
             raise InputError("config needs at least one prior concentration 'a'")
         for a in self.prior_a:
-            if not MIN_PRIOR <= a <= MAX_PRIOR:
-                raise InputError(f"prior concentration a must lie in [{MIN_PRIOR:g}, {MAX_PRIOR:g}], got {a!r}")
+            if not MIN_PRIOR <= a <= MAX_STUDY_PRIOR:
+                raise InputError(f"prior concentration a must lie in [{MIN_PRIOR:g}, {MAX_STUDY_PRIOR:g}], got {a!r}")
         if any(m < 1 for m in self.mc_sizes):
             raise InputError("mc sizes must be positive")
         if self.replicates < 1:

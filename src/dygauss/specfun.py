@@ -1,14 +1,14 @@
 """Special functions: log-gamma, digamma, trigamma and the normal CDF on
-arrays, and the scalar normal quantile, regularized incomplete gamma and
-chi-square CDF/quantile.
+arrays, and the scalar normal and chi-square quantiles.
 
 `log_gamma`, `digamma`, `trigamma` and `normal_cdf` apply elementwise to an
 array of any shape; a scalar is the 0-d case and comes back as a float. The
 gamma-derivative family shifts every entry upward by the recurrence until it
 is >= 10 (one masked pass per step, at most 10 passes), then evaluates an
 asymptotic (Bernoulli-number) expansion whose truncation error is below
-1e-14 there. The recurrences double as test invariants. All functions are
-pure and deterministic.
+1e-14 there. The recurrences double as test invariants. `chi2_quantile`
+inverts the regularized incomplete gamma by a private series / continued
+fraction helper. All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -153,10 +153,11 @@ def normal_quantile(p: float) -> float:
     return x
 
 
-def _reg_gamma(a: float, x: float, log_gamma_a: float) -> float:
-    """P(a, x) for a, x > 0, given log_gamma_a = log Gamma(a): the power
-    series for x < a + 1, else one minus the modified Lentz continued
-    fraction for Q(a, x)."""
+def _reg_gamma(a: float, x: float, log_gamma_a: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for a >= 1/2, x > 0, given log_gamma_a = log Gamma(a):
+    the power series gives P for x < a + 1, the modified Lentz continued
+    fraction gives Q otherwise, and the other is one minus it (at least 0.08
+    there, so it keeps its relative accuracy)."""
     lower = x < a + 1.0
     if lower:
         term = 1.0 / a
@@ -189,16 +190,19 @@ def _reg_gamma(a: float, x: float, log_gamma_a: float) -> float:
             if abs(delta - 1.0) < 1e-16:
                 break
     value *= math.exp(a * math.log(x) - x - log_gamma_a)
-    return value if lower else 1.0 - value
+    return (value, 1.0 - value) if lower else (1.0 - value, value)
 
 
 def chi2_quantile(p: float, k: int) -> float:
     """Quantile of the chi-square distribution with k degrees of freedom.
 
     Wilson-Hilferty initial guess refined by bracket-safeguarded Newton on
-    the regularized incomplete gamma P(k/2, x/2); falls back to bisection
-    when Newton stalls (the density is unbounded at 0 for k = 1, so the
-    safeguard is not optional).
+    the regularized incomplete gamma; falls back to bisection when Newton
+    stalls (the density is unbounded at 0 for k = 1, so the safeguard is
+    not optional). It solves P(k/2, x/2) = p for p <= 1/2 and
+    Q(k/2, x/2) = 1 - p above, to 1e-12 of that tail probability or until
+    Newton no longer moves x, so the quantile is accurate in relative terms
+    in both tails.
     """
     p = float(p)
     if not (0.0 < p < 1.0):
@@ -207,26 +211,29 @@ def chi2_quantile(p: float, k: int) -> float:
         raise ValueError(f"chi2_quantile requires k >= 1, got {k}")
     half_k = 0.5 * k
     log_gamma_half_k = log_gamma(half_k)
+    upper = p > 0.5
+    tail = 1.0 - p if upper else p  # exact: 1 - p has no rounding on [1/2, 1]
 
-    def cdf(x: float) -> float:
+    def excess(x: float) -> float:
+        """P(k/2, x/2) - p, computed from the tail that holds p."""
         half_x = 0.5 * x
-        return _reg_gamma(half_k, half_x, log_gamma_half_k) if half_x > 0.0 else 0.0
+        lower_p, upper_q = _reg_gamma(half_k, half_x, log_gamma_half_k) if half_x > 0.0 else (0.0, 1.0)
+        return tail - upper_q if upper else lower_p - tail
 
     z = normal_quantile(p)
     t = 1.0 - 2.0 / (9.0 * k) + z * math.sqrt(2.0 / (9.0 * k))
     x = k * t * t * t if t > 0.0 else 0.0
     if x <= 0.0:
-        x = 0.5 * k * math.exp((math.log(p) + log_gamma_half_k + math.log(2.0)) / (0.5 * k))
-        x = max(x, 1e-300)
+        x = max(0.5 * k * math.exp((math.log(p) + log_gamma_half_k + math.log(2.0)) / (0.5 * k)), 1e-300)
 
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_ITER):
-        err = cdf(x) - p
+        err = excess(x)
         if err > 0.0:
             hi = min(hi, x)
         else:
             lo = max(lo, x)
-        if abs(err) <= _ABS_TOL:
+        if abs(err) <= _ABS_TOL * tail:
             return x
         d = math.exp((half_k - 1.0) * math.log(x) - 0.5 * x - half_k * math.log(2.0) - log_gamma_half_k)
         if d > 0.0 and math.isfinite(d):
@@ -235,19 +242,21 @@ def chi2_quantile(p: float, k: int) -> float:
             x_new = math.nan
         if not (lo < x_new < hi) or not math.isfinite(x_new):
             x_new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
+        if x_new == x:  # the step is below half an ulp: roundoff in P bounds the error
+            return x
         x = x_new
 
     # Bisection endgame; the bracket is guaranteed by the loop above.
     if not math.isfinite(hi):
         hi = max(x, 1.0)
-        while cdf(hi) < p:
+        while excess(hi) < 0.0:
             hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
+        if excess(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+        if hi - lo <= 1e-14 * hi:
             break
     return 0.5 * (lo + hi)

@@ -294,6 +294,15 @@ class TestCompareCommand:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_prior_with_constant_truth_exit_2(self, tmp_path, capsys):
+        """At a = 1e30 every true vector's draws agree to the last bit, so its variation is undefined."""
+        config = tmp_path / "sim.json"
+        config.write_text('{"p": 3, "N": [5], "a": [1e30], "mc": [], "replicates": 2}')
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "prior" in err and "1e+30" in err and "1e+25" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "key, values",
         [("N", [20, 20]), ("a", [1, 1.0]), ("mc", [50, 50]), ("parametrizations", ["corner", "corner"])],

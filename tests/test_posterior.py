@@ -173,6 +173,26 @@ class TestCompoundSymmetryOps:
             CompoundSymmetryMatrix(np.array([1.0]), 0.0)
 
 
+class TestValueTypesCopyBeforeFreezing:
+    """Each value type stores a read-only copy; the caller's array stays writeable."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (DirichletParams, "beta"),
+            (lambda v: CompoundSymmetryMatrix(v, 0.5), "diag"),
+            (lambda v: GaussianApprox(v, CompoundSymmetryMatrix(np.ones(3), 0.5)), "mean"),
+        ],
+        ids=["DirichletParams", "CompoundSymmetryMatrix", "GaussianApprox"],
+    )
+    def test_caller_array_stays_writeable(self, build, field):
+        caller = np.ones(3)
+        stored = getattr(build(caller), field)
+        assert caller.flags.writeable
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(stored, caller)
+
+
 class TestSpecialFunctionCalls:
     """ld_moments and exact_min_kl evaluate the special functions on the whole
     concentration vector: the call count does not grow with d."""

@@ -142,6 +142,13 @@ class TestLassoPath:
         assert path.lambdas.size == 1
         assert supports(path.coefs) == ((),)
 
+    def test_caller_arrays_stay_writeable(self):
+        arrays = {"lambdas": np.array([2.0, 1.0]), "coefs": np.zeros((2, 3)), "theta_hat": np.ones(3), "deltas": np.zeros(2)}
+        path = LassoPath(**arrays)
+        for name, caller in arrays.items():
+            assert caller.flags.writeable
+            assert not getattr(path, name).flags.writeable
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             LassoPath(np.array([1.0, 2.0]), np.zeros((2, 3)), np.zeros(3), np.zeros(2))  # increasing
@@ -204,6 +211,13 @@ class TestMahalanobisDelta:
 
 
 class TestPcrSelect:
+    def test_alpha_whose_complement_rounds_to_one_exits_2(self, tmp_path, capsys):
+        """1 - 1e-20 is 1.0 in floating point, which has no chi-square quantile."""
+        table = tmp_path / "t.json"
+        table.write_text('{"levels": [2, 2, 2], "counts": [90, 3, 4, 1, 2, 5, 1, 40]}')
+        assert main(["select", "--table", str(table), "--prior", "1", "--alpha", "1e-20"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_strong_signal_sparse_support(self):
         theta = np.array([5.0, 0.01, 0.01])
         path = lasso_path(theta, DenseCovariance(np.eye(3)), n_lambda=100, lambda_min_ratio=1e-4)

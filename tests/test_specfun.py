@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import special, stats
 
+from dygauss import specfun
 from dygauss.specfun import (
-    chi2_cdf,
     chi2_quantile,
     digamma,
     log_gamma,
     normal_cdf,
     normal_quantile,
-    reg_lower_gamma,
     trigamma,
 )
 
@@ -163,7 +162,33 @@ class TestChi2Quantile:
         for _ in range(300):
             p = float(rng.uniform(1e-6, 1.0 - 1e-6))
             k = int(rng.integers(1, 80))
-            assert chi2_cdf(chi2_quantile(p, k), k) == pytest.approx(p, abs=1e-9)
+            assert stats.chi2.cdf(chi2_quantile(p, k), k) == pytest.approx(p, abs=1e-9)
+
+    # p from 1e-10 to 1 - 1e-10: both tails and the middle
+    TAIL_PS = [*np.logspace(-10, -1, 10), 0.3, 0.5, 0.7, *(1.0 - np.logspace(-10, -1, 10))]
+
+    def test_two_dof_closed_form(self):
+        # chi-square with 2 dof is exponential with rate 1/2: x = -2 log(1 - p)
+        for p in self.TAIL_PS:
+            assert chi2_quantile(p, 2) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 63, 254, 4094, 65534])
+    def test_tail_quantiles_match_scipy(self, k):
+        for p in self.TAIL_PS:
+            assert chi2_quantile(p, k) == pytest.approx(stats.chi2.ppf(p, k), rel=1e-9, abs=0.0), p
+
+    def test_log_gamma_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return log_gamma(z)
+
+        monkeypatch.setattr(specfun, "log_gamma", counting)
+        for p, k in [(0.9, 6), (1e-10, 1), (1.0 - 1e-10, 254)]:
+            calls.clear()
+            chi2_quantile(p, k)
+            assert len(calls) == 1, (p, k)
 
     def test_increasing_in_p(self):
         qs = [chi2_quantile(p, 4) for p in np.linspace(0.01, 0.99, 50)]
@@ -176,17 +201,6 @@ class TestChi2Quantile:
             chi2_quantile(1.0, 2)
         with pytest.raises(ValueError):
             chi2_quantile(0.5, 0)
-
-
-class TestRegLowerGamma:
-    def test_exponential_special_case(self):
-        # P(1, x) = 1 - e^{-x}
-        for x in (0.1, 1.0, 5.0):
-            assert reg_lower_gamma(1.0, x) == pytest.approx(1.0 - math.exp(-x), abs=1e-13)
-
-    def test_limits(self):
-        assert reg_lower_gamma(3.0, 0.0) == 0.0
-        assert reg_lower_gamma(3.0, 1e4) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestArrayNative:
