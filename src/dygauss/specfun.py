@@ -33,8 +33,9 @@ _SQRT2 = math.sqrt(2.0)
 # asymptotic series is applied.
 _ASYMPTOTIC_CUTOFF = 10.0
 
-# Convergence targets of the iterative scalar routines.
-_ABS_TOL = 1e-12
+# Tolerance, relative to the smaller tail probability, and iteration cap of
+# the iterative scalar routines.
+_REL_TOL = 1e-12
 _MAX_ITER = 200
 
 
@@ -141,7 +142,7 @@ def normal_quantile(p: float) -> float:
         x = -x
     for _ in range(_MAX_ITER):
         err = normal_cdf(x) - p
-        if abs(err) <= _ABS_TOL * min(p, 1.0 - p) + 1e-16:
+        if abs(err) <= _REL_TOL * min(p, 1.0 - p) + 1e-16:
             break
         d = _normal_pdf(x)
         if d <= 0.0:
@@ -233,7 +234,7 @@ def chi2_quantile(p: float, k: int) -> float:
             hi = min(hi, x)
         else:
             lo = max(lo, x)
-        if abs(err) <= _ABS_TOL * tail:
+        if abs(err) <= _REL_TOL * tail:
             return x
         d = math.exp((half_k - 1.0) * math.log(x) - 0.5 * x - half_k * math.log(2.0) - log_gamma_half_k)
         if d > 0.0 and math.isfinite(d):

@@ -143,7 +143,9 @@ class TestLassoPath:
         assert supports(path.coefs) == ((),)
 
     def test_caller_arrays_stay_writeable(self):
-        arrays = {"lambdas": np.array([2.0, 1.0]), "coefs": np.zeros((2, 3)), "theta_hat": np.ones(3), "deltas": np.zeros(2)}
+        arrays = {
+            "lambdas": np.array([2.0, 1.0]), "coefs": np.zeros((2, 3)), "theta_hat": np.ones(3), "deltas": np.zeros(2)
+        }
         path = LassoPath(**arrays)
         for name, caller in arrays.items():
             assert caller.flags.writeable
