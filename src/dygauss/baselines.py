@@ -57,17 +57,23 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
 
 
-# Transient draw buffers are capped near this many doubles (~256 MB total
-# across the three per-block temporaries).
+# Transient draw buffers are capped near this many doubles (~192 MB total
+# across the two per-block temporaries).
 _BLOCK_BUDGET = 12_000_000
 
 
 def _log_gamma_block(rng: np.random.Generator, shapes: np.ndarray, n: int) -> np.ndarray:
-    """(n x len(shapes)) matrix of log Gamma(shape) variates, scale 1."""
+    """(n x len(shapes)) matrix of log Gamma(shape) variates, scale 1:
+    log G + log(1 - U) / shape, assembled in the gamma draw's own buffer."""
     boosted = rng.gamma(shapes + 1.0, size=(n, shapes.size))
+    u = rng.random(size=(n, shapes.size))
     # 1 - U avoids log(0); U in [0, 1) so 1 - U in (0, 1].
-    u = 1.0 - rng.random(size=(n, shapes.size))
-    return np.log(boosted) + np.log(u) / shapes
+    np.subtract(1.0, u, out=u)
+    np.log(boosted, out=boosted)
+    np.log(u, out=u)
+    u /= shapes
+    boosted += u
+    return boosted
 
 
 def mc_approx(beta: DirichletParams, mc: int, seed: int) -> np.ndarray:
@@ -103,7 +109,7 @@ def _theta_draws(rng: np.random.Generator, beta: DirichletParams, n: int) -> np.
     for start in range(0, n, block):
         stop = min(start + block, n)
         log_g = _log_gamma_block(rng, beta.beta, stop - start)
-        out[start:stop] = log_g[:, 1:] - log_g[:, :1]
+        np.subtract(log_g[:, 1:], log_g[:, :1], out=out[start:stop])
     return out
 
 

@@ -7,12 +7,14 @@ Subcommands:
            k-variable marginal table, with confusion counts vs a reference
            graph
 
-Exit codes: 0 success, 2 usage/input error, 3 numerical failure.
+Exit codes: 0 success, 1 output pipe closed early, 2 usage/input error,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -89,6 +91,7 @@ def _write_json(payload: dict, out: str | None) -> None:
             write_json(payload, handle)
     else:
         write_json(payload, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 def _cmd_compare(args) -> int:
@@ -236,12 +239,20 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonError, LassoConvergenceError, np.linalg.LinAlgError) as exc:
+    except (NewtonError, LassoConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point stdout at devnull
+        # so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed before all output was written", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

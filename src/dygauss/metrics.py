@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 CREDIBLE_LEVEL = 0.95  # central mass of every credible interval
+_SORT_COLUMNS = 16  # empirical_intervals sorts this many columns as one contiguous block
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class MetricReport:
 
     def __post_init__(self):
         if not np.isfinite(self.value):
-            raise ValueError(f"metric {self.metric!r} produced a non-finite value")
+            raise FloatingPointError(f"metric {self.metric!r} produced a non-finite value")
 
     def as_row(self) -> tuple:
         return (
@@ -98,31 +99,42 @@ def gaussian_intervals(mean, variances) -> np.ndarray:
     return np.stack([mean - half, mean + half], axis=1)
 
 
-def empirical_intervals(draws) -> np.ndarray:
+def empirical_intervals(draws, on_sorted=None) -> np.ndarray:
     """Columnwise empirical central intervals from a sample matrix, one
     (lo, hi) row per coordinate.
 
     Equal to ``np.percentile(draws, [tail, 100 - tail], axis=0).T`` for
-    finite draws, with one sort in place of percentile's partition: the
-    same virtual index (n - 1) q and the same interpolation as numpy's
-    "linear" method (from the upper neighbour when the weight is >= 1/2).
+    finite draws: the same virtual index (n - 1) q and the same
+    interpolation as numpy's "linear" method (from the upper neighbour when
+    the weight is >= 1/2). Columns are sorted in contiguous copies of
+    _SORT_COLUMNS at a time, so `draws` is never modified and the only
+    temporary is one such block. `on_sorted(j, values)`, if given, is
+    called with column j's sorted values, a view valid during the call.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be an (mc x d) matrix")
     tail = 100.0 * 0.5 * (1.0 - CREDIBLE_LEVEL)
     q = np.true_divide([tail, 100.0 - tail], 100)
-    n = draws.shape[0]
-    ordered = np.sort(draws, axis=0)
+    n, d = draws.shape
     virtual = (n - 1) * q
     below = np.floor(virtual)
-    gamma = (virtual - below)[:, None]
+    gamma = virtual - below
     below = below.astype(np.intp)
-    lo, hi = ordered[below], ordered[np.minimum(below + 1, n - 1)]
-    diff = hi - lo
-    out = lo + diff * gamma
-    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out.T
+    above = np.minimum(below + 1, n - 1)
+    out = np.empty((d, 2))
+    for j0 in range(0, d, _SORT_COLUMNS):
+        block = draws[:, j0:j0 + _SORT_COLUMNS].T.copy()
+        block.sort(axis=1)
+        lo, hi = block[:, below], block[:, above]
+        diff = hi - lo
+        part = out[j0:j0 + _SORT_COLUMNS]
+        np.add(lo, diff * gamma, out=part)
+        np.subtract(hi, diff * (1 - gamma), out=part, where=gamma >= 0.5)
+        if on_sorted is not None:
+            for k, values in enumerate(block):
+                on_sorted(j0 + k, values)
+    return out
 
 
 def frobenius_loss(sigma_hat, sigma) -> float:
@@ -146,13 +158,17 @@ def frobenius_loss(sigma_hat, sigma) -> float:
 def ks_statistic(samples, mu: float, sigma: float) -> float:
     """One-sample Kolmogorov-Smirnov distance between an empirical sample and
     N(mu, sigma^2), by the exact order-statistic formula
-    max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n).
+    max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n). Samples already in
+    ascending order (a column from `empirical_intervals`' sort) are not
+    sorted again.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("need at least one sample")
+    if np.any(x[1:] < x[:-1]):
+        x = np.sort(x)
     n = x.size
     cdf = normal_cdf((x - mu) / sigma)
     i = np.arange(1, n + 1)

@@ -168,8 +168,9 @@ def multinomial_sample(n: int, pi, rng: np.random.Generator) -> np.ndarray:
 
 
 def _time_call(fn, repeats: int):
-    """Median wall-clock seconds over `repeats` calls, plus the first result."""
-    result = None
+    """Median wall-clock seconds over `repeats` calls, plus the first result.
+    A later call's result is dropped before the next call, so at most the
+    first result and the one being built are alive."""
     times = []
     for i in range(repeats):
         start = time.perf_counter()
@@ -177,6 +178,7 @@ def _time_call(fn, repeats: int):
         times.append(time.perf_counter() - start)
         if i == 0:
             result = out
+        out = None
     return float(np.median(times)), result
 
 
@@ -187,6 +189,30 @@ class _Condition:
     cond_seed: int
     config: SimulationConfig
     design: DesignMatrix | None
+
+
+def _centred_cov(draws: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """np.cov(draws.T) bit for bit, given mean = draws.mean(axis=0), with
+    `draws` centred in place instead of in np.cov's copy; the caller's draws
+    are spent."""
+    draws -= mean
+    cov = np.dot(draws.T, draws)
+    cov *= np.true_divide(1, draws.shape[0] - 1)
+    return cov
+
+
+def _mc_summary(draws: np.ndarray, gauss, ks_pool) -> list:
+    """[mean, intervals, KS statistics at ks_pool] of one (mc, d) buffer,
+    read without modifying it; the KS statistics reuse the intervals' sorts."""
+    sd = np.sqrt(gauss.variances())
+    ks = dict.fromkeys(int(j) for j in ks_pool)
+
+    def on_sorted(j, values):
+        if j in ks:
+            ks[j] = ks_statistic(values, gauss.mean[j], sd[j])
+
+    intervals = empirical_intervals(draws, on_sorted if ks else None)
+    return [draws.mean(axis=0), intervals, list(ks.values())]
 
 
 def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
@@ -206,16 +232,42 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
     pi_full /= pi_full.sum()
     y = multinomial_sample(cond.n, pi_full, rng)
     beta = DirichletParams(alpha_full + y)
+    ks_pool = rng.choice(d, size=min(cfg.ks_coords, d), replace=False) if cfg.ks_coords else []
 
     time_on, gauss = _time_call(lambda: optimal_gaussian(beta), cfg.timing_repeats)
     time_lap, lap = _time_call(lambda: laplace_approx(beta), cfg.timing_repeats)
-    mc_results = {}
+    views = {}  # parametrization -> (truth, optimal Gaussian, Laplace)
+    for par in cfg.parametrizations:
+        if par == "identity":
+            views[par] = (theta0, gauss, lap)
+        else:
+            views[par] = (
+                to_theta_star(theta0, cond.design),
+                transform_gaussian(gauss, cond.design),
+                transform_gaussian(lap, cond.design),
+            )
+
+    # One draw buffer is alive at a time, except while the corner copy is
+    # built and the identity covariance taken. Each buffer keeps the layout
+    # the metrics were defined on (np.cov and mean round by layout): identity
+    # draws (mc, d) in C order, corner draws (d, mc) in C order viewed as
+    # (mc, d). A buffer's covariance is taken last, as it centres in place.
+    mc_big = max(cfg.mc_sizes, default=0)
+    time_mc, mc_stats = {}, {par: {} for par in views}
     for mc_idx, mc in enumerate(cfg.mc_sizes):
         seed_mc = derive_seed(cond.cond_seed, rep, 1 + mc_idx)
-        time_mc, draws = _time_call(lambda: mc_approx(beta, mc, seed_mc), cfg.timing_repeats)
-        mc_results[mc] = (time_mc, draws)
-
-    ks_pool = rng.choice(d, size=min(cfg.ks_coords, d), replace=False) if cfg.ks_coords else []
+        time_mc[mc], draws = _time_call(lambda: mc_approx(beta, mc, seed_mc), cfg.timing_repeats)
+        ks = ks_pool if mc == mc_big else []
+        if "identity" in views:
+            identity = mc_stats["identity"][mc] = _mc_summary(draws, views["identity"][1], ks)
+        corner = to_theta_star(draws.T, cond.design).T if "corner" in views else None
+        if "identity" in views:
+            identity.append(_centred_cov(draws, identity[0]))
+        draws = None
+        if corner is not None:
+            summary = mc_stats["corner"][mc] = _mc_summary(corner, views["corner"][1], ks)
+            summary.append(_centred_cov(corner, summary[0]))
+            corner = None
 
     rows: list[MetricReport] = []
 
@@ -231,19 +283,7 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
             )
         )
 
-    for par in cfg.parametrizations:
-        if par == "identity":
-            truth = theta0
-            g_par, lap_par = gauss, lap
-            mc_draws = {mc: draws for mc, (_, draws) in mc_results.items()}
-        else:
-            truth = to_theta_star(theta0, cond.design)
-            g_par = transform_gaussian(gauss, cond.design)
-            lap_par = transform_gaussian(lap, cond.design)
-            mc_draws = {
-                mc: to_theta_star(draws.T, cond.design).T
-                for mc, (_, draws) in mc_results.items()
-            }
+    for par, (truth, g_par, lap_par) in views.items():
         sigma_ref = g_par.cov_dense()
 
         add("unexplained_variation_on", unexplained_variation(g_par.mean, truth), par)
@@ -259,19 +299,15 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
         add("frobenius_loss_laplace", frobenius_loss(lap_par.cov_dense(), sigma_ref), par)
         add("time_laplace", time_lap, par)
 
-        for mc, (time_mc, _) in mc_results.items():
-            draws = mc_draws[mc]
-            add("unexplained_variation_mc", unexplained_variation(draws.mean(axis=0), truth), par, mc)
-            add("coverage_mc", coverage(empirical_intervals(draws), truth), par, mc)
-            add("frobenius_loss_mc", frobenius_loss(np.cov(draws.T), sigma_ref), par, mc)
-            add("time_mc", time_mc, par, mc)
+        for mc, (mean, intervals, _, cov) in mc_stats[par].items():
+            add("unexplained_variation_mc", unexplained_variation(mean, truth), par, mc)
+            add("coverage_mc", coverage(intervals, truth), par, mc)
+            add("frobenius_loss_mc", frobenius_loss(cov, sigma_ref), par, mc)
+            add("time_mc", time_mc[mc], par, mc)
 
         if cfg.mc_sizes and len(ks_pool):
-            mc_big = max(cfg.mc_sizes)
-            draws = mc_draws[mc_big]
-            sd = np.sqrt(g_par.variances())
-            for j in ks_pool:
-                add("ks_mc", ks_statistic(draws[:, j], g_par.mean[j], sd[j]), par, mc_big)
+            for value in mc_stats[par][mc_big][2]:
+                add("ks_mc", value, par, mc_big)
     return rows
 
 

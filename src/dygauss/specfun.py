@@ -141,7 +141,7 @@ def normal_quantile(p: float) -> float:
     if p > 0.5:
         x = -x
     for _ in range(_MAX_ITER):
-        err = normal_cdf(x) - p
+        err = 0.5 * math.erfc(-x / _SQRT2) - p  # normal_cdf(x), without its array path
         if abs(err) <= _REL_TOL * min(p, 1.0 - p) + 1e-16:
             break
         d = _normal_pdf(x)

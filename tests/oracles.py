@@ -125,6 +125,27 @@ def gumbel_normal_ks_limit() -> float:
     )
 
 
+def mc_buffer_reference(draws, mean, sd, ks_columns):
+    """The Monte Carlo metric inputs of one (mc, d) draw matrix as the compare
+    study first computed them, each from a copy of the draws: column means,
+    ``np.percentile``'s central 95% intervals, ``np.cov(draws.T)``, and the
+    KS distance of each column in `ks_columns`, sorted on its own, from
+    N(mean_j, sd_j^2) by the order-statistic formula with Phi evaluated as
+    0.5 * erfc(-z / sqrt 2) through ``math.erfc``."""
+    draws = np.asarray(draws, dtype=float)
+    tail = 100.0 * 0.5 * (1.0 - 0.95)
+    intervals = np.percentile(draws, [tail, 100.0 - tail], axis=0).T
+    ks = []
+    for j in ks_columns:
+        x = np.sort(draws[:, j])
+        n = x.size
+        z = ((x - mean[j]) / sd[j]).tolist()
+        cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in z])
+        i = np.arange(1, n + 1)
+        ks.append(float(np.maximum(i / n - cdf, cdf - (i - 1) / n).max()))
+    return draws.mean(axis=0), intervals, np.cov(draws.T), ks
+
+
 def ld_logpdf(theta, beta):
     """Log density of the log-ratio pushforward of Dirichlet(beta),
     lnGamma(B) - sum_j lnGamma(b_j) + sum_j b_j t_j - B log(1 + sum_l e^{t_l}),

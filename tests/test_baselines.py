@@ -85,6 +85,28 @@ class TestMcApprox:
         assert calls == [50, 1]
         assert np.all(np.isfinite(draws))
 
+    @pytest.mark.parametrize("budget", [baselines._BLOCK_BUDGET, 1000])
+    def test_in_place_assembly_equals_the_out_of_place_formula(self, budget, monkeypatch):
+        """log G + log(1 - U) / shape, assembled in the gamma buffer, and the
+        log ratios subtracted into the output, equal the out-of-place formula
+        on the same generator bit for bit, in one block and in many."""
+        monkeypatch.setattr(baselines, "_BLOCK_BUDGET", budget)
+        beta = DirichletParams(np.random.default_rng(4).uniform(0.05, 40.0, 64))
+        mc, seed = 300, 17
+        rng = stream_rng(seed)
+        block = max(1, budget // beta.beta.size)
+        parts = []
+        for start in range(0, mc, block):
+            n = min(block, mc - start)
+            boosted = rng.gamma(beta.beta + 1.0, size=(n, beta.beta.size))
+            u = 1.0 - rng.random(size=(n, beta.beta.size))
+            log_g = np.log(boosted) + np.log(u) / beta.beta
+            parts.append(log_g[:, 1:] - log_g[:, :1])
+        expected = np.concatenate(parts)
+        draws = mc_approx(beta, mc, seed)
+        assert draws.flags.c_contiguous
+        assert draws.tobytes() == expected.tobytes()
+
 
 class TestMapEstimate:
     def test_symmetric(self):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +360,15 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure: MAP Newton did not converge" in capsys.readouterr().err
 
+    def test_non_finite_metric_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A metric that comes out NaN inside a valid study is a numerical
+        failure, not an input error."""
+        monkeypatch.setattr(simulate, "coverage", lambda intervals, truth: float("nan"))
+        config = tmp_path / "sim.json"
+        config.write_text('{"p": 2, "N": [5], "mc": [], "replicates": 2, "timing_repeats": 1}')
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "numerical failure: metric 'coverage_on' produced a non-finite value" in capsys.readouterr().err
+
     def test_prior_one_over_d_runs(self, tmp_path):
         """a = 1/d at p = 8 (d = 255) once sent the Laplace baseline off the simplex."""
         config = tmp_path / "sim.json"
@@ -600,3 +613,22 @@ class TestExitCodeContract:
         argv = ["select", "--table", table, "--prior", "1", "--alpha", "0.1", "--marginals", "2",
                 "--reference", str(reference), "--out", str(tmp_path / "o.json")]
         assert main(argv) in (0, 2)
+
+    def test_closed_output_pipe_exit_1(self, tmp_path):
+        """A reader that closes stdout early (`| head -c 10`) gets exit 1 and
+        one error line, not a BrokenPipeError traceback."""
+        table = write_json_table(tmp_path / "t.json", [2] * 6, list(range(64)))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dygauss.cli", "select", "--table", table, "--prior", "1", "--alpha", "0.1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: output pipe closed before all output was written\n"

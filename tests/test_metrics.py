@@ -110,6 +110,22 @@ class TestCoverage:
         expected = np.percentile(draws, [tail, 100.0 - tail], axis=0).T
         assert np.array_equal(empirical_intervals(draws), expected)
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_empirical_intervals_leave_draws_and_report_sorted_columns(self, layout):
+        """Blocks of columns are sorted in copies, also where a block is a
+        contiguous slice of the draws (F order), and `on_sorted` sees each
+        column's sorted values once."""
+        draws = np.asarray(np.random.default_rng(5).normal(size=(301, 37)), order=layout)
+        before = draws.copy()
+        seen = []
+        intervals = empirical_intervals(draws, lambda j, values: seen.append((j, values.copy())))
+        assert np.array_equal(draws, before)
+        assert sorted(j for j, _ in seen) == list(range(37))
+        for j, values in seen:
+            assert np.array_equal(values, np.sort(draws[:, j]))
+        tail = 100.0 * 0.5 * (1.0 - CREDIBLE_LEVEL)
+        assert np.array_equal(intervals, np.percentile(draws, [tail, 100.0 - tail], axis=0).T)
+
     def test_calibrated_bayes_coverage(self):
         """Intervals from the optimal Gaussian on prior-simulated data hit
         nominal coverage on average."""
@@ -185,6 +201,16 @@ class TestKsStatistic:
         with pytest.raises(ValueError):
             ks_statistic(np.zeros(3), 0.0, 0.0)
 
+    def test_ascending_samples_are_not_sorted_again(self, monkeypatch):
+        """The study passes columns already sorted for the intervals."""
+        ordered = np.sort(np.random.default_rng(6).normal(size=999))
+        expected = ks_statistic(ordered[::-1], 0.1, 1.2)
+        sorts = []
+        real_sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorts.append(1) or real_sort(a, *args, **kw))
+        assert ks_statistic(ordered, 0.1, 1.2) == expected
+        assert not sorts
+
 
 class TestMetricReport:
     def test_row_shape(self):
@@ -192,5 +218,5 @@ class TestMetricReport:
         assert row == ("coverage_on", "identity", 250, "", 3, repr(0.95))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             MetricReport("x", float("nan"))

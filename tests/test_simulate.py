@@ -1,17 +1,26 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dygauss.baselines import stream_rng
+from dygauss import tableio
+from dygauss.baselines import _log_gamma_block, derive_seed, mc_approx, stream_rng
+from dygauss.metrics import coverage, frobenius_loss, unexplained_variation
+from dygauss.parametrization import corner_design, to_theta_star
+from dygauss.posterior import DirichletParams, optimal_gaussian, transform_gaussian
 from dygauss.simulate import (
     CSV_HEADER,
     SimulationConfig,
+    _Condition,
+    _replicate_rows,
     aggregate_means,
     multinomial_sample,
     run_compare,
 )
 from dygauss.tableio import InputError
+
+from oracles import mc_buffer_reference
 
 
 class TestMultinomialSample:
@@ -156,6 +165,94 @@ class TestRunCompare:
             assert get() == threads
         name = "metrics_a1p0.csv"
         assert (tmp_path / "blas2" / name).read_bytes() == (tmp_path / "blas1" / name).read_bytes()
+
+
+def reference_mc_rows(cond, rep):
+    """The Monte Carlo rows of one replicate, (metric, parametrization, mc,
+    repr(value)) in the study's row order, computed from every draw matrix
+    kept whole: the identity draws in C order and their corner copy
+    to_theta_star(draws.T, design).T, each summarized by the copying
+    reference."""
+    cfg = cond.config
+    d = cfg.schema.d
+    rng = stream_rng(cond.cond_seed, rep)
+    alpha = np.full(d + 1, cond.prior_a)
+    log_g = _log_gamma_block(rng, alpha, 1)[0]
+    theta0 = log_g[1:] - log_g[0]
+    shifted = np.exp(log_g - log_g.max())
+    pi = np.maximum(shifted / shifted.sum(), 1e-300)
+    pi /= pi.sum()
+    beta = DirichletParams(alpha + multinomial_sample(cond.n, pi, rng))
+    ks_pool = rng.choice(d, size=min(cfg.ks_coords, d), replace=False)
+    gauss = optimal_gaussian(beta)
+    draws = {
+        mc: mc_approx(beta, mc, derive_seed(cond.cond_seed, rep, 1 + i))
+        for i, mc in enumerate(cfg.mc_sizes)
+    }
+    rows = []
+    for par in cfg.parametrizations:
+        truth, g, buffers = theta0, gauss, draws
+        if par == "corner":
+            truth = to_theta_star(theta0, cond.design)
+            g = transform_gaussian(gauss, cond.design)
+            buffers = {mc: to_theta_star(x.T, cond.design).T for mc, x in draws.items()}
+        sd = np.sqrt(g.variances())
+        ks_rows = []
+        for mc, buffer in buffers.items():
+            ks_cols = ks_pool if mc == max(cfg.mc_sizes) else []
+            mean, intervals, cov, ks = mc_buffer_reference(buffer, g.mean, sd, ks_cols)
+            rows.append(("unexplained_variation_mc", par, mc, repr(unexplained_variation(mean, truth))))
+            rows.append(("coverage_mc", par, mc, repr(coverage(intervals, truth))))
+            rows.append(("frobenius_loss_mc", par, mc, repr(frobenius_loss(cov, g.cov_dense()))))
+            ks_rows += [("ks_mc", par, mc, repr(v)) for v in ks]
+        rows += ks_rows
+    return rows
+
+
+class TestMcDrawBuffers:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("order", [("identity", "corner"), ("corner", "identity")])
+    @pytest.mark.parametrize("mc", [500, 2001])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_mc_rows_equal_the_copying_reference(self, p, mc, order, threads, monkeypatch):
+        """One buffer per parametrization, in-place centring and block sorts
+        give the same bits as np.cov, np.percentile and per-column KS on
+        whole copies, in either parametrization order and on any pool size."""
+        monkeypatch.setenv("DYGAUSS_THREADS", threads)
+        config = tiny_config(
+            levels=(2,) * p, mc_sizes=(mc, 300), parametrizations=order, replicates=2, ks_coords=6
+        )
+        cond = _Condition(1.0, 60, derive_seed(config.seed, 0, 0), config, corner_design(config.schema))
+        got = tableio.map_jobs(lambda r: _replicate_rows(cond, r), range(config.replicates))
+        expected = tableio.map_jobs(lambda r: reference_mc_rows(cond, r), range(config.replicates))
+        for rep_rows, rep_expected in zip(got, expected):
+            mc_rows = [
+                (r.metric, r.parametrization, r.mc, repr(r.value))
+                for r in rep_rows
+                if r.metric.endswith("_mc") and r.metric != "time_mc"
+            ]
+            assert mc_rows == rep_expected
+
+    @pytest.mark.parametrize("repeats, bound", [(1, 3.2), (3, 4.2)])
+    @pytest.mark.parametrize("order", [("identity", "corner"), ("corner", "identity")])
+    def test_traced_peak_per_replicate(self, order, repeats, bound, monkeypatch):
+        """A p = 8 replicate at mc = 20,000 holds at most about three draw
+        matrices (the draws and the two log-gamma blocks), one more when
+        timing repeats keep the first draws while the next are built."""
+        monkeypatch.setenv("DYGAUSS_THREADS", "1")
+        mc = 20_000
+        config = SimulationConfig(
+            levels=(2,) * 8, sample_sizes=(10_000,), mc_sizes=(mc,), replicates=1, seed=301,
+            parametrizations=order, timing_repeats=repeats,
+        )
+        cond = _Condition(1.0, 10_000, derive_seed(301, 0, 0), config, corner_design(config.schema))
+        tracemalloc.start()
+        try:
+            tableio.map_jobs(lambda r: _replicate_rows(cond, r), [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * mc * config.schema.d * 8
 
 
 class TestSimulationConfig:

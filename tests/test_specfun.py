@@ -146,6 +146,29 @@ class TestNormalCdf:
         for p in (0.025, 0.5, 0.975, 0.9, 1e-4):
             assert normal_cdf(normal_quantile(p)) == pytest.approx(p, rel=1e-9, abs=1e-12)
 
+    def test_quantile_equals_newton_through_the_array_cdf(self):
+        """The scalar erfc step is normal_cdf's arithmetic: the same Newton
+        iteration evaluated through normal_cdf gives the same bits."""
+
+        def through_normal_cdf(p):
+            q = min(p, 1.0 - p)
+            x = -math.sqrt(max(-2.0 * math.log(q), 0.0))
+            if p > 0.5:
+                x = -x
+            for _ in range(specfun._MAX_ITER):
+                err = normal_cdf(x) - p
+                if abs(err) <= specfun._REL_TOL * min(p, 1.0 - p) + 1e-16:
+                    break
+                d = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                if d <= 0.0:
+                    break
+                x -= max(min(err / d, 1.0), -1.0)
+            return x
+
+        grid = np.concatenate([np.geomspace(1e-300, 0.5, 500), 1.0 - np.geomspace(1e-16, 0.5, 500)])
+        for p in grid.tolist():
+            assert normal_quantile(p).hex() == through_normal_cdf(p).hex(), p
+
 
 class TestChi2Quantile:
     def test_median_two_dof(self):
