@@ -142,7 +142,18 @@ def _marginal_prior(prior_spec: str, table: ContingencyTable, keep) -> str | np.
     return cube.sum(axis=drop).reshape(-1) if drop else full
 
 
+def _check_select_options(args) -> None:
+    """The ranges `lasso_path` and `pcr_select` accept, checked before any work."""
+    if args.n_lambda < 1:
+        raise InputError(f"--n-lambda must be >= 1, got {args.n_lambda}")
+    if not 0.0 < args.lambda_min_ratio <= 1.0:
+        raise InputError(f"--lambda-min-ratio must lie in (0, 1], got {args.lambda_min_ratio}")
+    if not (0.0 < args.alpha < 1.0 and 1.0 - args.alpha < 1.0):
+        raise InputError(f"--alpha must lie in (0, 1) and 1 - alpha must round below 1, got {args.alpha}")
+
+
 def _cmd_select(args) -> int:
+    _check_select_options(args)
     table = load_table(args.table)
     p = table.schema.p
     payload: dict = {

@@ -9,6 +9,15 @@ exact posterior mean and covariance. Sigma* is compound symmetric, so every
 quadratic form, solve, and determinant here runs in O(d) via the
 Sherman-Morrison and matrix-determinant identities.
 
+The special functions of beta run through `DirichletParams`: when most
+concentrations repeat (a scalar prior plus integer counts gives at most one
+value per distinct count; `specfun.mostly_repeated` decides), they are
+evaluated once per distinct value and expanded by the inverse index, and a
+vector prior with mostly distinct entries is evaluated as it is. psi(beta)
+and psi'(beta) are computed once per `DirichletParams`, on those values, so
+`ld_moments` and `exact_min_kl` on one instance share them. Sums run over
+the expanded arrays, so every result has the bits of the full evaluation.
+
 Covariance transform convention: a Gaussian G ~ N(m, S) pushed through the
 linear map t -> A t is N(A m, A S A^T). For t* = X^{-1} t that means mean
 X^{-1} m and covariance X^{-1} S X^{-T}. (Displays that write the
@@ -23,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .parametrization import DesignMatrix, adjoint_theta_star, from_theta_star, to_theta_star
-from .specfun import digamma, log_gamma, trigamma
+from .specfun import digamma, log_gamma, mostly_repeated, trigamma
 
 __all__ = [
     "DirichletParams",
@@ -68,6 +78,37 @@ class DirichletParams:
     @property
     def total(self) -> float:
         return float(self.beta.sum())
+
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, inverse) with values[inverse] == beta when most entries
+        repeat; (beta, None) otherwise. The inverse is held in the smallest
+        unsigned type that indexes the values, as it lives as long as self."""
+        if not mostly_repeated(self.beta):
+            return self.beta, None
+        values, inverse = np.unique(self.beta, return_inverse=True)
+        return values, inverse.astype(np.min_scalar_type(values.size - 1))
+
+    def _expand(self, out: np.ndarray) -> np.ndarray:
+        inverse = self._distinct[1]
+        return out if inverse is None else out[inverse]
+
+    def elementwise(self, fn) -> np.ndarray:
+        """fn(beta) for an elementwise fn, evaluated once per distinct value."""
+        return self._expand(fn(self._distinct[0]))
+
+    @cached_property
+    def _psi_distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        values = self._distinct[0]
+        psi, tri = digamma(values), trigamma(values)
+        psi.flags.writeable = tri.flags.writeable = False
+        return psi, tri
+
+    def psi(self) -> tuple[np.ndarray, np.ndarray]:
+        """(psi(beta), psi'(beta)), evaluated once per instance and expanded
+        on each call; read-only when nothing needs expanding."""
+        psi, tri = self._psi_distinct
+        return self._expand(psi), self._expand(tri)
 
 
 @dataclass(frozen=True)
@@ -201,8 +242,7 @@ class GaussianApprox:
 
 def ld_moments(beta: DirichletParams) -> tuple[np.ndarray, CompoundSymmetryMatrix]:
     """Exact mean and covariance of the log-ratio coordinates under beta."""
-    psi = digamma(beta.beta)
-    tri = trigamma(beta.beta)
+    psi, tri = beta.psi()
     return psi[1:] - psi[0], CompoundSymmetryMatrix(tri[1:], tri[0])
 
 
@@ -229,9 +269,8 @@ def exact_min_kl(beta: DirichletParams) -> float:
     Dirichlet(b) is log Gamma(B) - sum_j log Gamma(b_j).
     """
     b = beta.beta
-    psi = digamma(b)
-    tri = trigamma(b)
-    log_norm = log_gamma(b.sum()) - float(log_gamma(b).sum())
+    psi, tri = beta.psi()
+    log_norm = log_gamma(b.sum()) - float(beta.elementwise(log_gamma).sum())
     neg_entropy = log_norm + float((b * (psi - digamma(beta.total))).sum())
     logdet = CompoundSymmetryMatrix(tri[1:], tri[0]).logdet()
     return neg_entropy + 0.5 * beta.d * (1.0 + _LOG_2PI) + 0.5 * logdet

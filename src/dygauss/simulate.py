@@ -234,7 +234,8 @@ def _replicate_rows(cond: _Condition, rep: int) -> list[MetricReport]:
     beta = DirichletParams(alpha_full + y)
     ks_pool = rng.choice(d, size=min(cfg.ks_coords, d), replace=False) if cfg.ks_coords else []
 
-    time_on, gauss = _time_call(lambda: optimal_gaussian(beta), cfg.timing_repeats)
+    # Each timed call gets its own DirichletParams, which caches psi and psi'.
+    time_on, gauss = _time_call(lambda: optimal_gaussian(DirichletParams(beta.beta)), cfg.timing_repeats)
     time_lap, lap = _time_call(lambda: laplace_approx(beta), cfg.timing_repeats)
     views = {}  # parametrization -> (truth, optimal Gaussian, Laplace)
     for par in cfg.parametrizations:

@@ -9,6 +9,14 @@ asymptotic (Bernoulli-number) expansion whose truncation error is below
 1e-14 there. The recurrences double as test invariants. `chi2_quantile`
 inverts the regularized incomplete gamma by a private series / continued
 fraction helper. All functions are pure and deterministic.
+
+A value's result does not depend on where in the array it sits, bit for bit
+(the tests check this on the numpy in use, across SIMD loops and their
+tails). So a caller whose arguments mostly repeat may evaluate on the
+distinct values and expand by the inverse index. `mostly_repeated` is the
+test for that: `posterior.DirichletParams` applies it to the concentrations,
+where a scalar prior plus integer counts repeats, and `tableio` to the
+numbers it formats as JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "chi2_quantile",
+    "mostly_repeated",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -37,6 +46,18 @@ _ASYMPTOTIC_CUTOFF = 10.0
 # the iterative scalar routines.
 _REL_TOL = 1e-12
 _MAX_ITER = 200
+
+# Values looked at by `mostly_repeated`.
+_REPEAT_SAMPLE = 4096
+
+
+def mostly_repeated(values: np.ndarray) -> bool:
+    """True when fewer than half of a strided sample of at most 4096 of the
+    float64 values are distinct (by bit pattern), so that working on the
+    distinct values once pays for the ``np.unique``. False when empty."""
+    flat = values.reshape(-1)
+    sample = flat[:: max(1, -(-flat.size // _REPEAT_SAMPLE))]
+    return 2 * np.unique(sample.view(np.int64)).size < sample.size
 
 
 def _require_positive(z, name: str) -> np.ndarray:

@@ -64,6 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .parametrization import ContingencyTable, TableSchema
+from .specfun import mostly_repeated
 
 __all__ = [
     "InputError",
@@ -286,21 +287,12 @@ def write_json(payload, handle) -> None:
     handle.write("\n")
 
 
-_DEDUP_SAMPLE = 4096  # values looked at to decide whether most repeat
-
-
 def _float_array_json(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist())`` for a 1-d or (n, k) array. When fewer
-    than half of a sample of the float64 values are distinct, each column's
+    """``json.dumps(values.tolist())`` for a 1-d or (n, k) array. When the
+    float64 values mostly repeat (`specfun.mostly_repeated`), each column's
     distinct values are formatted once; otherwise the C encoder formats
     every value."""
-    flat = values.reshape(-1)
-    sample = flat[:: max(1, flat.size // _DEDUP_SAMPLE)]
-    if (
-        values.dtype != np.float64
-        or values.ndim not in (1, 2)
-        or 2 * np.unique(sample.view(np.int64)).size >= sample.size
-    ):
+    if values.dtype != np.float64 or values.ndim not in (1, 2) or not mostly_repeated(values):
         return json.dumps(values.tolist())
     if values.ndim == 1:
         return "[" + ", ".join(_column_texts(values)) + "]"

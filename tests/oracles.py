@@ -193,6 +193,22 @@ def kl_to_gaussian(beta, mu, sigma) -> float:
     return float(neg_entropy + 0.5 * d * math.log(2.0 * math.pi) + 0.5 * logdet + 0.5 * (trace + resid @ resid))
 
 
+def plain_moments_and_kl(b, log_gamma, digamma, trigamma):
+    """(mean, diag, common, exact_min_kl) of the optimal Gaussian with each
+    special function evaluated once on the whole concentration vector b, in
+    the arithmetic order of the closed form: the reference for evaluating on
+    the distinct values. The functions are passed in, so the bits compared
+    are those of one implementation and nothing is imported from dygauss.
+    diag + common 11^T is the identity-space covariance."""
+    b = np.asarray(b, dtype=float)
+    psi, tri = digamma(b), trigamma(b)
+    diag, common = tri[1:], float(tri[0])
+    neg_entropy = log_gamma(b.sum()) - float(log_gamma(b).sum()) + float((b * (psi - digamma(float(b.sum())))).sum())
+    logdet = float(np.log(diag).sum()) + math.log1p(common * float((1.0 / diag).sum()))
+    kl = neg_entropy + 0.5 * (b.size - 1) * (1.0 + math.log(2.0 * math.pi)) + 0.5 * logdet
+    return psi[1:] - psi[0], diag, common, kl
+
+
 def gaussian_from_json(payload: dict) -> tuple[np.ndarray, np.ndarray, str]:
     """(mean, dense covariance, parametrization) of a Gaussian as ``approx``
     writes it. A "cs" covariance is Diag(diag) + common 11^T. A "corner_cs"

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dygauss import simulate, tableio
+from dygauss import cli, simulate, tableio
 from dygauss.baselines import NewtonError
 from dygauss.cli import main
 from dygauss.metrics import CREDIBLE_LEVEL, gaussian_intervals
 from dygauss.parametrization import TableSchema, canonical_cell_order, corner_design
-from dygauss.posterior import DirichletParams, exact_min_kl, kl_bound, optimal_gaussian, transform_gaussian
+from dygauss.posterior import (
+    CompoundSymmetryMatrix,
+    DirichletParams,
+    GaussianApprox,
+    kl_bound,
+    optimal_gaussian,
+    transform_gaussian,
+)
 from dygauss.selection import lasso_path, pcr_select
-from dygauss.specfun import digamma, trigamma
+from dygauss.specfun import digamma, log_gamma, mostly_repeated, trigamma
+
+from oracles import plain_moments_and_kl
 
 
 def write_json_table(path, levels, counts):
@@ -155,16 +165,19 @@ def listed(value):
 
 
 def list_approx_text(levels, counts, prior, parametrization):
-    """The approx output as json.dumps of a payload of Python lists."""
+    """The approx output as json.dumps of a payload of Python lists, with the
+    special functions evaluated on the whole concentration vector
+    (`oracles.plain_moments_and_kl`), not on its distinct values."""
     schema = TableSchema(levels)
-    beta = DirichletParams(np.full(schema.n_cells, prior) + np.asarray(counts))
-    gauss = optimal_gaussian(beta)
+    b = np.full(schema.n_cells, prior) + np.asarray(counts)
+    mean, diag, common, kl = plain_moments_and_kl(b, log_gamma, digamma, trigamma)
+    gauss = GaussianApprox(mean, CompoundSymmetryMatrix(diag, common))
     if parametrization == "corner":
         gauss = transform_gaussian(gauss, corner_design(schema))
-    bound = kl_bound(beta)
+    bound = kl_bound(DirichletParams(b))
     payload = listed(gauss.to_json_dict())
     payload["labels"] = canonical_cell_order(schema)[1:].tolist()
-    payload["exact_min_kl"] = exact_min_kl(beta)
+    payload["exact_min_kl"] = kl
     payload["kl_bound"] = {"value": bound.value, "valid": bound.valid}
     payload["level"] = CREDIBLE_LEVEL
     payload["intervals"] = gaussian_intervals(gauss.mean, gauss.variances()).tolist()
@@ -232,6 +245,27 @@ class TestJsonWriter:
         assert main(argv + (["--out", str(out)] if to_file else [])) == 0
         text = out.read_text() if to_file else capsys.readouterr().out
         assert text == list_approx_text(levels, counts, prior, parametrization)
+
+    @pytest.mark.parametrize("parametrization", ["identity", "corner"])
+    @pytest.mark.parametrize(
+        "prior, high, repeated",
+        [("1", 20, True), ("1e-4", 2, True), ("1e-100", 4, True), ("vector", 20, False)],
+    )
+    def test_approx_bytes_equal_plain_reference(self, tmp_path, prior, high, repeated, parametrization):
+        """Full p = 10 tables, on both sides of the distinct-value test."""
+        rng = np.random.default_rng(high)
+        counts = rng.integers(0, high, 2**10)
+        prior_values = np.full(2**10, float(prior)) if prior != "vector" else rng.uniform(0.5, 2.0, 2**10)
+        if prior == "vector":
+            prior = str(tmp_path / "prior.txt")
+            Path(prior).write_text(" ".join(map(repr, prior_values.tolist())))
+        assert mostly_repeated(prior_values + counts) is repeated
+        table = write_json_table(tmp_path / "t.json", [2] * 10, counts.tolist())
+        out = tmp_path / "o.json"
+        argv = ["approx", "--table", table, "--prior", prior, "--parametrization", parametrization]
+        assert main(argv + ["--out", str(out)]) == 0
+        reference = list_approx_text([2] * 10, counts, prior_values, parametrization)
+        assert out.read_text() == reference
 
     def test_select_bytes_equal_list_payload(self, tmp_path, capsys):
         counts = np.random.default_rng(301).integers(0, 200, 32)
@@ -305,6 +339,18 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "prior" in err and "1e+30" in err and "1e+25" in err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=st.floats(1e25, 1e100, exclude_min=True))
+    def test_prior_above_the_cap_exit_2(self, tmp_path, capsys, a):
+        """Every study prior in (1e25, 1e100] is refused before any output."""
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"p": 3, "N": [5], "a": [a], "mc": [], "replicates": 2}))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "prior" in err and repr(a) in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -565,6 +611,32 @@ def json_tables(draw):
     return payload
 
 
+# Values each `select` option accepts, and values outside its range.
+SELECT_OPTIONS = {
+    "n-lambda": (st.integers(1, 300), st.integers(max_value=0)),
+    "lambda-min-ratio": (
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(math.nan)),
+    ),
+    "alpha": (
+        st.floats(1e-6, 1.0, exclude_max=True),
+        st.one_of(
+            st.floats(max_value=0.0),
+            st.floats(min_value=1.0),
+            st.floats(0.0, 1e-16, exclude_min=True).filter(lambda a: 1.0 - a == 1.0),
+            st.just(math.nan),
+        ),
+    ),
+}
+
+
+@st.composite
+def bad_select_options(draw):
+    """Every select option given, at least one of them out of range."""
+    bad = draw(st.sets(st.sampled_from(sorted(SELECT_OPTIONS)), min_size=1))
+    return {name: draw(SELECT_OPTIONS[name][name in bad]) for name in SELECT_OPTIONS}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestExitCodeContract:
     """Malformed input exits 2 with an error line; it never ends in exit 1 or
@@ -613,6 +685,19 @@ class TestExitCodeContract:
         argv = ["select", "--table", table, "--prior", "1", "--alpha", "0.1", "--marginals", "2",
                 "--reference", str(reference), "--out", str(tmp_path / "o.json")]
         assert main(argv) in (0, 2)
+
+    @SETTINGS
+    @given(options=bad_select_options())
+    def test_select_options_checked_before_any_work(self, monkeypatch, capsys, options):
+        """Out-of-range --n-lambda, --lambda-min-ratio or --alpha exit 2 with one
+        line naming an offending option, before the table is read."""
+        monkeypatch.setattr(cli, "load_table", lambda path: pytest.fail("the table was read"))
+        capsys.readouterr()
+        argv = ["select", "--table", "t.json", "--prior", "1", "--alpha=0.1"]
+        assert main(argv + [f"--{name}={value}" for name, value in options.items()]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --")
+        assert lines[0].split()[1] in {f"--{name}" for name in options}
 
     def test_closed_output_pipe_exit_1(self, tmp_path):
         """A reader that closes stdout early (`| head -c 10`) gets exit 1 and

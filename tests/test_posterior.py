@@ -194,24 +194,30 @@ class TestValueTypesCopyBeforeFreezing:
 
 
 class TestSpecialFunctionCalls:
-    """ld_moments and exact_min_kl evaluate the special functions on the whole
-    concentration vector: the call count does not grow with d."""
+    """ld_moments and exact_min_kl make a number of special-function calls
+    that does not grow with d. Each array call sees the distinct
+    concentrations when most repeat, and psi and psi' are evaluated once per
+    DirichletParams, so one `approx` command makes one array call to each."""
 
     @staticmethod
     def count_calls(monkeypatch):
+        """Record (name, argument size, or None for a scalar) of each call."""
         import dygauss.posterior as posterior
 
         calls = []
-        targets = ((posterior, "digamma"), (posterior, "trigamma"), (posterior, "log_gamma"))
-        for module, name in targets:
-            fn = getattr(module, name)
+        for name in ("digamma", "trigamma", "log_gamma"):
+            fn = getattr(posterior, name)
 
-            def counted(*args, fn=fn, name=name):
-                calls.append(name)
-                return fn(*args)
+            def counted(z, fn=fn, name=name):
+                calls.append((name, np.size(z) if np.ndim(z) else None))
+                return fn(z)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(posterior, name, counted)
         return calls
+
+    @staticmethod
+    def array_calls(calls):
+        return [(name, size) for name, size in calls if size is not None]
 
     @pytest.mark.parametrize("fn, most", [(ld_moments, 2), (exact_min_kl, 5)])
     def test_constant_in_d(self, monkeypatch, fn, most):
@@ -223,6 +229,91 @@ class TestSpecialFunctionCalls:
             fn(DirichletParams(rng.uniform(0.01, 1e6, d + 1)))
             counts.append(len(calls))
         assert counts[0] == counts[1] <= most
+
+    def test_array_calls_see_only_the_distinct_values(self, monkeypatch):
+        """A scalar prior plus integer counts: psi and psi' once for both
+        functions, and every array call on the distinct values only."""
+        calls = self.count_calls(monkeypatch)
+        counts = np.random.default_rng(42).integers(0, 20, 4096)
+        beta = DirichletParams(0.5 + counts)
+        ld_moments(beta)
+        exact_min_kl(beta)
+        distinct = np.unique(counts).size
+        assert sorted(self.array_calls(calls)) == [
+            ("digamma", distinct), ("log_gamma", distinct), ("trigamma", distinct)
+        ]
+
+    def test_vector_prior_takes_the_plain_path(self, monkeypatch):
+        """Mostly distinct concentrations are evaluated as they are."""
+        calls = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(43)
+        beta = DirichletParams(rng.uniform(0.5, 2.0, 4096) + rng.integers(0, 20, 4096))
+        ld_moments(beta)
+        exact_min_kl(beta)
+        assert sorted(self.array_calls(calls)) == [("digamma", 4096), ("log_gamma", 4096), ("trigamma", 4096)]
+
+    @pytest.mark.parametrize("parametrization", ["identity", "corner"])
+    def test_one_array_call_each_per_approx_command(self, monkeypatch, tmp_path, parametrization):
+        from dygauss.cli import main
+
+        calls = self.count_calls(monkeypatch)
+        counts = np.random.default_rng(44).integers(0, 3, 2**10)
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"levels": [2] * 10, "counts": counts.tolist()}))
+        argv = ["approx", "--table", str(table), "--prior", "1", "--parametrization", parametrization]
+        assert main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+        assert sorted(self.array_calls(calls)) == [("digamma", 3), ("log_gamma", 3), ("trigamma", 3)]
+
+
+# Concentrations across the accepted range, both sides of the recurrence
+# cutoff 10, and the neighbours of 10 itself.
+CONCENTRATIONS = st.one_of(
+    st.floats(1e-100, 1e15),
+    st.floats(8.0, 12.0),
+    st.sampled_from([1e-100, math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 11.0), 1e15]),
+)
+
+
+@st.composite
+def repeated_concentrations(draw):
+    """Arrays of 1-70, 4093 or 4096 entries drawn from at most six values."""
+    pool = np.array(draw(st.lists(CONCENTRATIONS, min_size=1, max_size=6, unique=True)))
+    n = draw(st.one_of(st.integers(1, 70), st.sampled_from([4093, 4096])))
+    return pool[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, pool.size, n)]
+
+
+class TestDistinctValueEvaluation:
+    """Evaluating on the distinct values and expanding by the inverse index
+    gives the bits of the full evaluation. This holds only if each special
+    function's result for a value does not depend on where in the array the
+    value sits (a SIMD loop and its scalar tail must round alike), so it is
+    checked here on the running numpy rather than assumed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=repeated_concentrations())
+    def test_bits_equal_the_full_evaluation(self, values):
+        distinct, inverse = np.unique(values, return_inverse=True)
+        for fn in (log_gamma, digamma, trigamma):
+            assert fn(distinct)[inverse].tobytes() == fn(values).tobytes()
+        if values.size >= 2:
+            beta = DirichletParams(values)
+            psi, tri = beta.psi()
+            assert psi.tobytes() == digamma(values).tobytes()
+            assert tri.tobytes() == trigamma(values).tobytes()
+            assert beta.elementwise(log_gamma).tobytes() == log_gamma(values).tobytes()
+
+    @pytest.mark.parametrize("b", [[1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 2.0, 3.0]], ids=["distinct", "plain"])
+    def test_callers_cannot_change_the_shared_values(self, b):
+        """psi() hands out fresh expansions or read-only shared arrays."""
+        beta = DirichletParams(b)
+        psi, tri = beta.psi()
+        if psi.flags.writeable:
+            psi[:] = tri[:] = 0.0
+        else:
+            with pytest.raises(ValueError):
+                psi[0] = 0.0
+        assert beta.psi()[0].tobytes() == digamma(np.array(b)).tobytes()
+        assert beta.psi()[1].tobytes() == trigamma(np.array(b)).tobytes()
 
 
 class TestExactMinKl:

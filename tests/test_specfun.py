@@ -287,3 +287,31 @@ class TestArrayNative:
         else:
             with pytest.raises(ValueError):
                 normal_cdf(z)
+
+
+class TestMostlyRepeated:
+    """The one test, shared by the posterior and the JSON writer, of whether
+    working on distinct values pays: fewer than half of a strided sample of
+    at most 4096 values distinct by bit pattern."""
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([], False),
+            ([1.0], False),
+            ([1.0, 1.0, 1.0, 2.0], False),
+            ([1.0, 1.0, 1.0, 2.0, 2.0], True),
+            ([0.0, -0.0, 0.0, -0.0], False),
+            ([[1.5, 1.5], [1.5, 1.5]], True),
+        ],
+    )
+    def test_half_distinct_is_not_enough(self, values, expected):
+        assert specfun.mostly_repeated(np.array(values, dtype=float)) is expected
+
+    @pytest.mark.parametrize("n", [4096, 4097, 12_289, 2**20])
+    def test_sample_holds_at_most_4096_values(self, monkeypatch, n):
+        seen = []
+        unique = np.unique
+        monkeypatch.setattr(specfun.np, "unique", lambda a: seen.append(a.size) or unique(a))
+        assert specfun.mostly_repeated(np.zeros(n))
+        assert 2048 < seen[0] <= 4096
